@@ -12,13 +12,14 @@ void check(bool cond, const std::string& msg) {
   if (!cond) throw std::invalid_argument(msg);
 }
 
-/// One direction of one connection: sender-stamped frames accumulate in
-/// `bytes` until the pump feeds them through the receiver's parser.
+/// One direction of one connection: sender-stamped frames go straight
+/// into the receiver's parser; `pending` counts the bytes fed since the
+/// pump last drained it.
 struct Channel {
   std::size_t dst_endpoint = 0;
   std::size_t dst_conn = 0;
   std::uint64_t next_seq = 0;
-  std::vector<std::uint8_t> bytes;
+  std::size_t pending = 0;
   FrameParser parser{kDefaultMaxPayload};
   bool counted_bad = false;
 };
@@ -80,7 +81,8 @@ class LoopbackHub {
     Channel& ch = *channels_[endpoints_[endpoint].out[conn]];
     const std::vector<std::uint8_t> frame =
         encode_frame(type, kLoopbackRun, ch.next_seq++, payload);
-    ch.bytes.insert(ch.bytes.end(), frame.begin(), frame.end());
+    ch.parser.feed(frame.data(), frame.size());
+    ch.pending += frame.size();
     ++counters_.frames_tx;
     counters_.bytes_tx += frame.size();
   }
@@ -88,18 +90,19 @@ class LoopbackHub {
   /// Drains every channel, in creation order, until a full pass moves no
   /// bytes. Handlers run inline and may enqueue more frames; those are
   /// picked up on the next pass, keeping delivery order a pure function of
-  /// the topology.
+  /// the topology. A handler never sends on the channel being drained (only
+  /// the channel's own sender writes to it), so the parser's frames during
+  /// one drain are exactly those fed before it began.
   void pump() {
     bool progress = true;
     while (progress) {
       progress = false;
       for (std::size_t c = 0; c < channels_.size(); ++c) {
         Channel& ch = *channels_[c];
-        if (ch.bytes.empty()) continue;
+        if (ch.pending == 0) continue;
         progress = true;
-        counters_.bytes_rx += ch.bytes.size();
-        ch.parser.feed(ch.bytes.data(), ch.bytes.size());
-        ch.bytes.clear();
+        counters_.bytes_rx += ch.pending;
+        ch.pending = 0;
         Frame frame;
         while (ch.parser.next(frame)) {
           ++counters_.frames_rx;

@@ -70,10 +70,19 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// CRC-32 (IEEE 802.3 polynomial, table-driven). `seed` chains partial
-/// computations: crc32(b, crc32(a)) == crc32(a+b).
+/// CRC-32 (IEEE 802.3 polynomial). `seed` chains partial computations:
+/// crc32(b, crc32(a)) == crc32(a+b). Calls of 64 bytes or more fold their
+/// 16-byte-multiple bulk with carry-less multiplies when the CPU has
+/// PCLMULQDQ; tails and other CPUs take the byte-table loop. Both give the
+/// same bits.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
                     std::uint32_t seed = 0);
+
+namespace detail {
+/// The byte-table loop alone: crc32's reference, exposed for its tests.
+std::uint32_t crc32_bytewise(const std::uint8_t* data, std::size_t len,
+                             std::uint32_t seed = 0);
+}  // namespace detail
 
 /// Builds one complete frame (header + CRC + payload) ready to write.
 std::vector<std::uint8_t> encode_frame(FrameType type, std::uint64_t run,

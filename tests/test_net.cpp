@@ -48,6 +48,50 @@ using net::ParseError;
 
 std::vector<std::uint8_t> tiny_payload() { return {1, 2, 3, 4, 5, 6, 7, 8}; }
 
+// ------------------------------------------------------------------ crc32 --
+
+std::vector<std::uint8_t> crc_test_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> bytes(n);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform_int(256));
+  return bytes;
+}
+
+TEST(Crc32, MatchesTheIeeeCheckValue) {
+  const std::string check = "123456789";
+  const auto* p = reinterpret_cast<const std::uint8_t*>(check.data());
+  EXPECT_EQ(net::crc32(p, check.size()), 0xCBF43926u);
+  EXPECT_EQ(net::detail::crc32_bytewise(p, check.size()), 0xCBF43926u);
+  EXPECT_EQ(net::crc32(p, 0), 0u);
+}
+
+TEST(Crc32, ChainsAtEverySplitPoint) {
+  const auto bytes = crc_test_bytes(300, 5);
+  const std::uint32_t whole = net::crc32(bytes.data(), bytes.size());
+  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+    const std::uint32_t head = net::crc32(bytes.data(), cut);
+    EXPECT_EQ(net::crc32(bytes.data() + cut, bytes.size() - cut, head), whole)
+        << "split at " << cut;
+  }
+}
+
+TEST(Crc32, MatchesTheByteLoopAtEveryLengthAndAlignment) {
+  // Lengths straddle the 64-byte fold threshold and cover every tail
+  // length; start offsets 0-15 make the 16-byte loads unaligned.
+  const auto bytes = crc_test_bytes(300 + 16, 6);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::uint8_t* p = bytes.data() + offset;
+      ASSERT_EQ(net::crc32(p, len, 0x1234u),
+                net::detail::crc32_bytewise(p, len, 0x1234u))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  const auto big = crc_test_bytes(1u << 20, 7);
+  EXPECT_EQ(net::crc32(big.data(), big.size()),
+            net::detail::crc32_bytewise(big.data(), big.size()));
+}
+
 // ------------------------------------------------- frame-parser robustness --
 
 TEST(FrameParser, RoundTripsFramesFedOneByteAtATime) {
@@ -151,17 +195,27 @@ TEST(FrameParser, EverySingleBitFlipFailsCleanly) {
   // CRC-32 detects all single-bit errors, and the magic/version/reserved
   // checks run first — so no flip anywhere in a frame may ever surface a
   // frame. Flips that enlarge payload_len leave the parser waiting for
-  // bytes that never come; that is also "no frame", not a crash.
-  const auto pristine =
-      net::encode_frame(FrameType::kUpdatePush, 3, 0, tiny_payload());
-  for (std::size_t byte = 0; byte < pristine.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      auto bytes = pristine;
-      bytes[byte] ^= static_cast<std::uint8_t>(1u << bit);
-      FrameParser parser;
-      parser.feed(bytes.data(), bytes.size());
-      Frame f;
-      EXPECT_FALSE(parser.next(f)) << "byte " << byte << " bit " << bit;
+  // bytes that never come; that is also "no frame", not a crash. The
+  // 117-byte payload takes crc32's folded bulk path plus a 5-byte tail;
+  // the 8-byte one stays on the byte loop.
+  std::vector<std::uint8_t> odd_payload(117);
+  for (std::size_t i = 0; i < odd_payload.size(); ++i) {
+    odd_payload[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  for (const auto& payload : {tiny_payload(), odd_payload}) {
+    const auto pristine =
+        net::encode_frame(FrameType::kUpdatePush, 3, 0, payload);
+    for (std::size_t byte = 0; byte < pristine.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        auto bytes = pristine;
+        bytes[byte] ^= static_cast<std::uint8_t>(1u << bit);
+        FrameParser parser;
+        parser.feed(bytes.data(), bytes.size());
+        Frame f;
+        EXPECT_FALSE(parser.next(f))
+            << "payload " << payload.size() << " byte " << byte << " bit "
+            << bit;
+      }
     }
   }
 }
