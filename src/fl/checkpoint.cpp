@@ -1,79 +1,38 @@
 #include "fl/checkpoint.h"
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 
 #include "tensor/serialize.h"
+#include "util/codec.h"
 
 namespace hetero {
 namespace {
 
-constexpr char kMagic[4] = {'H', 'S', 'C', 'K'};
-constexpr std::uint32_t kVersion = 1;
+constexpr char kMagic[] = "HSCK";
 
-void write_u32(std::ostream& os, std::uint32_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+/// u64 count then (key, value) entries; get_map fails the reader on a
+/// duplicate key (the writer emits each key once, in order).
+template <typename V, typename Put>
+void put_map(ByteWriter& w, const std::map<std::string, V>& m, Put put) {
+  w.u64(m.size());
+  for (const auto& [key, value] : m) {
+    w.str(key);
+    put(value);
+  }
 }
 
-void write_u64(std::ostream& os, std::uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void write_f64(std::ostream& os, double v) {
-  // Raw bit pattern: the round-trip must be bit-exact, not text-exact.
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  write_u64(os, bits);
-}
-
-void write_string(std::ostream& os, const std::string& s) {
-  write_u32(os, static_cast<std::uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::uint32_t read_u32(std::istream& is) {
-  std::uint32_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!is) throw std::runtime_error("checkpoint: truncated file");
-  return v;
-}
-
-std::uint64_t read_u64(std::istream& is) {
-  std::uint64_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!is) throw std::runtime_error("checkpoint: truncated file");
-  return v;
-}
-
-double read_f64(std::istream& is) {
-  const std::uint64_t bits = read_u64(is);
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::string read_string(std::istream& is) {
-  const std::uint32_t n = read_u32(is);
-  std::string s(n, '\0');
-  is.read(s.data(), static_cast<std::streamsize>(n));
-  if (!is) throw std::runtime_error("checkpoint: truncated file");
-  return s;
-}
-
-void write_f64_vector(std::ostream& os, const std::vector<double>& v) {
-  write_u64(os, v.size());
-  for (double x : v) write_f64(os, x);
-}
-
-std::vector<double> read_f64_vector(std::istream& is) {
-  const std::uint64_t n = read_u64(is);
-  std::vector<double> v;
-  v.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(read_f64(is));
-  return v;
+template <typename V, typename Get>
+std::map<std::string, V> get_map(ByteReader& r, Get get) {
+  std::map<std::string, V> m;
+  // Every entry holds a u32 key length and at least a rank-0 tensor.
+  const std::uint64_t n = r.count(4 + kMinTensorBytes);
+  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
+    std::string key = r.str();
+    if (!m.emplace(std::move(key), get()).second) r.invalidate();
+  }
+  return m;
 }
 
 }  // namespace
@@ -124,49 +83,34 @@ std::string checkpoint_path(const CheckpointOptions& opts) {
 
 void write_checkpoint(const std::string& path,
                       const SimulationCheckpoint& ck) {
+  // Tensors and the two per-round histories dominate the body; reserving
+  // for them up front means it is never copied while it grows.
+  std::size_t bytes = 4 * ck.model_state.size() + 16 * ck.loss_history.size();
+  for (const auto& entry : ck.algo.tensors) bytes += 4 * entry.second.size();
+  ByteWriter w;
+  w.reserve(bytes + 2048);
+  w.u64(ck.next_round);
+  w.u64(ck.seed);
+  w.u64(ck.num_clients);
+  w.u64(ck.clients_per_round);
+  w.str(ck.algorithm);
+  put_rng(w, ck.rng);
+  put_tensor(w, ck.model_state);
+  for (const auto* v : {&ck.loss_history, &ck.round_virtual_seconds}) {
+    w.u64(v->size());
+    for (double x : *v) w.f64(x);
+  }
+  put_map(w, ck.counters, [&](double v) { w.f64(v); });
+  put_map(w, ck.algo.scalars, [&](double v) { w.f64(v); });
+  put_map(w, ck.algo.words, [&](std::uint64_t v) { w.u64(v); });
+  put_map(w, ck.algo.tensors, [&](const Tensor& t) { put_tensor(w, t); });
+
   const std::filesystem::path target(path);
   if (target.has_parent_path()) {
     std::filesystem::create_directories(target.parent_path());
   }
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) throw std::runtime_error("checkpoint: cannot open " + tmp);
-    os.write(kMagic, sizeof(kMagic));
-    write_u32(os, kVersion);
-    write_u64(os, ck.next_round);
-    write_u64(os, ck.seed);
-    write_u64(os, ck.num_clients);
-    write_u64(os, ck.clients_per_round);
-    write_string(os, ck.algorithm);
-    for (std::uint64_t s : ck.rng.s) write_u64(os, s);
-    write_u64(os, ck.rng.has_cached_normal ? 1 : 0);
-    write_f64(os, ck.rng.cached_normal);
-    write_tensor(os, ck.model_state);
-    write_f64_vector(os, ck.loss_history);
-    write_f64_vector(os, ck.round_virtual_seconds);
-    write_u64(os, ck.counters.size());
-    for (const auto& [key, value] : ck.counters) {
-      write_string(os, key);
-      write_f64(os, value);
-    }
-    write_u64(os, ck.algo.scalars.size());
-    for (const auto& [key, value] : ck.algo.scalars) {
-      write_string(os, key);
-      write_f64(os, value);
-    }
-    write_u64(os, ck.algo.words.size());
-    for (const auto& [key, value] : ck.algo.words) {
-      write_string(os, key);
-      write_u64(os, value);
-    }
-    write_u64(os, ck.algo.tensors.size());
-    for (const auto& [key, value] : ck.algo.tensors) {
-      write_string(os, key);
-      write_tensor(os, value);
-    }
-    if (!os) throw std::runtime_error("checkpoint: write failed on " + tmp);
-  }
+  save_record(tmp, kMagic, w.data());
   // Atomic publish: a crash before this line leaves the old checkpoint.
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     throw std::runtime_error("checkpoint: rename to " + path + " failed");
@@ -174,50 +118,39 @@ void write_checkpoint(const std::string& path,
 }
 
 bool read_checkpoint(const std::string& path, SimulationCheckpoint& out) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return false;
-  char magic[4];
-  is.read(magic, sizeof(magic));
-  if (!is || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("checkpoint: bad magic in " + path);
+  if (!std::filesystem::exists(path)) return false;
+  std::vector<std::uint8_t> body;
+  try {
+    body = load_record(path, kMagic);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error("checkpoint " + path + ": " + e.what() +
+                             "; delete the file or set resume=0 to start "
+                             "a fresh run");
   }
-  const std::uint32_t version = read_u32(is);
-  if (version != kVersion) {
-    throw std::runtime_error("checkpoint: unsupported version in " + path);
+  ByteReader r(body);
+  SimulationCheckpoint ck;
+  ck.next_round = r.u64();
+  ck.seed = r.u64();
+  ck.num_clients = r.u64();
+  ck.clients_per_round = r.u64();
+  ck.algorithm = r.str();
+  if (!get_rng(r, ck.rng) || !get_tensor(r, ck.model_state)) r.invalidate();
+  for (auto* v : {&ck.loss_history, &ck.round_virtual_seconds}) {
+    v->resize(r.count(8));
+    for (double& x : *v) x = r.f64();
   }
-  out.next_round = read_u64(is);
-  out.seed = read_u64(is);
-  out.num_clients = read_u64(is);
-  out.clients_per_round = read_u64(is);
-  out.algorithm = read_string(is);
-  for (std::uint64_t& s : out.rng.s) s = read_u64(is);
-  out.rng.has_cached_normal = read_u64(is) != 0;
-  out.rng.cached_normal = read_f64(is);
-  out.model_state = read_tensor(is);
-  out.loss_history = read_f64_vector(is);
-  out.round_virtual_seconds = read_f64_vector(is);
-  out.counters.clear();
-  const std::uint64_t n_counters = read_u64(is);
-  for (std::uint64_t i = 0; i < n_counters; ++i) {
-    std::string key = read_string(is);
-    out.counters[std::move(key)] = read_f64(is);
+  ck.counters = get_map<double>(r, [&] { return r.f64(); });
+  ck.algo.scalars = get_map<double>(r, [&] { return r.f64(); });
+  ck.algo.words = get_map<std::uint64_t>(r, [&] { return r.u64(); });
+  ck.algo.tensors = get_map<Tensor>(r, [&] {
+    Tensor t;
+    if (!get_tensor(r, t)) r.invalidate();
+    return t;
+  });
+  if (!r.done()) {
+    throw std::runtime_error("checkpoint " + path + ": malformed body");
   }
-  out.algo = AlgorithmCheckpoint{};
-  const std::uint64_t n_scalars = read_u64(is);
-  for (std::uint64_t i = 0; i < n_scalars; ++i) {
-    std::string key = read_string(is);
-    out.algo.scalars[std::move(key)] = read_f64(is);
-  }
-  const std::uint64_t n_words = read_u64(is);
-  for (std::uint64_t i = 0; i < n_words; ++i) {
-    std::string key = read_string(is);
-    out.algo.words[std::move(key)] = read_u64(is);
-  }
-  const std::uint64_t n_tensors = read_u64(is);
-  for (std::uint64_t i = 0; i < n_tensors; ++i) {
-    std::string key = read_string(is);
-    out.algo.tensors[std::move(key)] = read_tensor(is);
-  }
+  out = std::move(ck);
   return true;
 }
 

@@ -5,8 +5,9 @@
 // bit-for-bit: the round cursor, the model state, the sampling Rng's full
 // engine state, the loss/virtual-time histories, the fault counters, and
 // the algorithm's cross-round state via FederatedAlgorithm::save_state.
-// Doubles are stored as raw 8-byte little-endian words so the round-trip is
-// bit-exact; tensors reuse the "HSTN" serializer from tensor/serialize.h.
+// The file is one CRC-sealed "HSCK" record of the shared codec (DESIGN.md
+// §16): doubles as raw bit patterns so the round-trip is bit-exact, tensors
+// in the shared tensor encoding. Version-1 files are refused.
 //
 // The file is written atomically (tmp file + rename) so a crash mid-write
 // leaves the previous checkpoint intact.
@@ -64,7 +65,8 @@ struct SimulationCheckpoint {
 void write_checkpoint(const std::string& path, const SimulationCheckpoint& ck);
 
 /// Returns false if `path` does not exist; throws std::runtime_error on a
-/// malformed or truncated file.
+/// malformed, corrupted, truncated or version-1 file, naming the path and
+/// telling the user to delete it or set resume=0.
 bool read_checkpoint(const std::string& path, SimulationCheckpoint& out);
 
 }  // namespace hetero

@@ -1,24 +1,25 @@
 // Message schemas carried by the wire frames (net/wire.h).
 //
 // One struct + encode/decode pair per FrameType. Decoders run over a
-// WireReader and return false on any truncation, trailing garbage, or
-// invalid field — never throwing, never reading out of bounds — so a
-// malformed but CRC-valid payload degrades into a clean rejection.
+// ByteReader (util/codec.h) and return false on any truncation, trailing
+// garbage, or invalid field — never throwing, never reading out of bounds —
+// so a malformed but CRC-valid payload degrades into a clean rejection.
 //
-// Tensors travel with a 1-byte mode tag: dense (raw f32 stream) or sparse
-// ((u32 index, f32 value) pairs — the SparseUpdate layout from
-// fl/compression). The encoder picks sparse only when it is smaller AND
-// lossless (every omitted coordinate is exactly 0.0f, including -0.0f),
-// so compressed algorithms' sparse post-densify states shrink on the wire
-// while decode always reconstructs bit-identical tensors.
+// Tensors travel in the shared tensor encoding (tensor/serialize.h): a
+// 1-byte mode tag selects dense or lossless sparse, so compressed
+// algorithms' sparse post-densify states shrink on the wire while decode
+// always reconstructs bit-identical tensors. RNG states use put_rng
+// (util/rng.h), the encoding checkpoints use too.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "fl/algorithm.h"
 #include "net/wire.h"
 #include "tensor/tensor.h"
+#include "util/codec.h"
 #include "util/rng.h"
 
 namespace hetero::net {
@@ -92,11 +93,14 @@ struct ByeMsg {
   std::uint64_t rounds_done = 0;
 };
 
-// Tensor / ClientUpdate codecs, shared by the messages above.
-void put_tensor(WireWriter& w, const Tensor& t);
-bool get_tensor(WireReader& r, Tensor& out);
-void put_update(WireWriter& w, const ClientUpdate& u);
-bool get_update(WireReader& r, ClientUpdate& out);
+/// Encoded size of one WireUpdateMeta: put_meta writes exactly this many
+/// bytes, and decode_digest bounds the meta count by it.
+constexpr std::size_t kWireMetaSize = 8 + 8 + 8 + 8 + 4 + 1 + 8 + 8;
+
+// ClientUpdate / meta codecs, shared by the messages above.
+void put_update(ByteWriter& w, const ClientUpdate& u);
+bool get_update(ByteReader& r, ClientUpdate& out);
+void put_meta(ByteWriter& w, const WireUpdateMeta& m);
 
 std::vector<std::uint8_t> encode_hello(const HelloMsg& m);
 bool decode_hello(const std::vector<std::uint8_t>& payload, HelloMsg& out);

@@ -16,8 +16,9 @@
 //       32     n  payload
 //
 // All integers are little-endian; f32/f64 travel as their raw IEEE bit
-// patterns, so numeric payloads round-trip bit-exactly (the checkpoint
-// layer's rule applied to the wire).
+// patterns, so numeric payloads round-trip bit-exactly. Header and payload
+// fields go through the shared ByteReader/ByteWriter and crc32
+// (util/codec.h) that the file formats use too.
 //
 // FrameParser is an incremental bounds-checked decoder: feed() raw bytes,
 // next() yields complete validated frames. Any malformed input — bad magic,
@@ -29,9 +30,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <string>
 #include <vector>
+
+#include "util/codec.h"
 
 namespace hetero::net {
 
@@ -70,20 +71,6 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// CRC-32 (IEEE 802.3 polynomial). `seed` chains partial computations:
-/// crc32(b, crc32(a)) == crc32(a+b). Calls of 64 bytes or more fold their
-/// 16-byte-multiple bulk with carry-less multiplies when the CPU has
-/// PCLMULQDQ; tails and other CPUs take the byte-table loop. Both give the
-/// same bits.
-std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
-                    std::uint32_t seed = 0);
-
-namespace detail {
-/// The byte-table loop alone: crc32's reference, exposed for its tests.
-std::uint32_t crc32_bytewise(const std::uint8_t* data, std::size_t len,
-                             std::uint32_t seed = 0);
-}  // namespace detail
-
 /// Builds one complete frame (header + CRC + payload) ready to write.
 std::vector<std::uint8_t> encode_frame(FrameType type, std::uint64_t run,
                                        std::uint64_t seq,
@@ -110,8 +97,6 @@ enum class ParseError : std::uint8_t {
   kBadSeq,
 };
 
-const char* parse_error_name(ParseError error);
-
 /// Incremental frame decoder for one direction of one connection.
 class FrameParser {
  public:
@@ -133,64 +118,14 @@ class FrameParser {
   std::size_t buffered() const { return buf_.size() - off_; }
 
  private:
-  void fail(ParseError error);
+  /// Quarantines the parser; returns false for next() to pass on.
+  bool fail(ParseError error);
 
   std::vector<std::uint8_t> buf_;
   std::size_t off_ = 0;  // consumed prefix of buf_
   std::uint64_t expected_seq_ = 0;
   ParseError error_ = ParseError::kNone;
   std::size_t max_payload_;
-};
-
-/// Bounds-checked little-endian reader over a payload. Reads past the end
-/// set a sticky failure flag and return zeros instead of touching memory;
-/// decoders check ok() once at the end.
-class WireReader {
- public:
-  WireReader(const std::uint8_t* data, std::size_t len)
-      : p_(data), len_(len) {}
-  explicit WireReader(const std::vector<std::uint8_t>& payload)
-      : WireReader(payload.data(), payload.size()) {}
-
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  float f32();
-  double f64();
-  /// Copies n raw bytes; zero-fills dst on overrun.
-  void bytes(void* dst, std::size_t n);
-
-  bool ok() const { return ok_; }
-  std::size_t remaining() const { return len_ - off_; }
-  /// Marks the read as failed (decoder-level validation).
-  void invalidate() { ok_ = false; }
-
- private:
-  bool take(void* dst, std::size_t n);
-
-  const std::uint8_t* p_;
-  std::size_t len_;
-  std::size_t off_ = 0;
-  bool ok_ = true;
-};
-
-/// Little-endian payload builder; the writing twin of WireReader.
-class WireWriter {
- public:
-  void u8(std::uint8_t v);
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void f32(float v);
-  void f64(double v);
-  void bytes(const void* src, std::size_t n);
-
-  const std::vector<std::uint8_t>& data() const { return buf_; }
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
-
- private:
-  std::vector<std::uint8_t> buf_;
 };
 
 }  // namespace hetero::net

@@ -1,112 +1,127 @@
 #include "tensor/serialize.h"
 
-#include <cstdint>
-#include <cstring>
-#include <fstream>
+#include <bit>
 #include <stdexcept>
 
 namespace hetero {
 namespace {
 
-constexpr char kTensorMagic[4] = {'H', 'S', 'T', 'N'};
-constexpr char kArchiveMagic[4] = {'H', 'S', 'A', 'R'};
-constexpr std::uint32_t kVersion = 1;
+constexpr char kTensorMagic[] = "HSTN";
+constexpr char kArchiveMagic[] = "HSAR";
 
-void write_raw(std::ostream& os, const void* data, std::size_t bytes) {
-  os.write(static_cast<const char*>(data),
-           static_cast<std::streamsize>(bytes));
-  if (!os) throw std::runtime_error("serialize: write failed");
+/// Hard cap on decoded tensor volume (elements). A dense payload is bounded
+/// by the bytes actually present; this stops a tiny *sparse* payload from
+/// claiming astronomic dims and forcing a huge allocation at decode time.
+constexpr std::uint64_t kMaxTensorElems = 1ull << 26;
+constexpr std::uint32_t kMaxTensorRank = 8;
+
+enum class TensorMode : std::uint8_t { kDense = 0, kSparse = 1 };
+
+std::vector<std::uint8_t> encode_tensor(const Tensor& t) {
+  ByteWriter w;
+  put_tensor(w, t);
+  return w.take();
 }
 
-void read_raw(std::istream& is, void* data, std::size_t bytes) {
-  is.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-  if (is.gcount() != static_cast<std::streamsize>(bytes)) {
-    throw std::runtime_error("serialize: truncated input");
-  }
-}
-
-template <typename T>
-void write_pod(std::ostream& os, T v) {
-  write_raw(os, &v, sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& is) {
-  T v;
-  read_raw(is, &v, sizeof(T));
-  return v;
-}
-
-void write_string(std::ostream& os, const std::string& s) {
-  write_pod<std::uint64_t>(os, s.size());
-  write_raw(os, s.data(), s.size());
-}
-
-std::string read_string(std::istream& is) {
-  const auto n = read_pod<std::uint64_t>(is);
-  if (n > (1ull << 20)) throw std::runtime_error("serialize: key too long");
-  std::string s(n, '\0');
-  read_raw(is, s.data(), n);
-  return s;
+Tensor decode_tensor(const std::vector<std::uint8_t>& body) {
+  ByteReader r(body);
+  Tensor t;
+  if (get_tensor(r, t) && r.done()) return t;
+  throw std::runtime_error("HSTN: malformed tensor");
 }
 
 }  // namespace
 
-void write_tensor(std::ostream& os, const Tensor& t) {
-  write_raw(os, kTensorMagic, 4);
-  write_pod<std::uint32_t>(os, kVersion);
-  write_pod<std::uint32_t>(os, static_cast<std::uint32_t>(t.rank()));
-  for (std::size_t d : t.shape()) {
-    write_pod<std::uint64_t>(os, static_cast<std::uint64_t>(d));
+void put_tensor(ByteWriter& w, const Tensor& t) {
+  w.u32(static_cast<std::uint32_t>(t.rank()));
+  for (std::size_t d : t.shape()) w.u64(d);
+  // Sparse only when lossless: every omitted coordinate must be bit-zero
+  // (a -0.0f survives only the dense path), and only when actually smaller.
+  const float* data = t.data();
+  std::size_t nnz = 0;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(data[i]) != 0) ++nnz;
   }
-  // Element count is stored explicitly: a default-constructed tensor is
-  // rank 0 with zero elements, distinct from a rank-0 scalar.
-  write_pod<std::uint64_t>(os, static_cast<std::uint64_t>(t.size()));
-  write_raw(os, t.data(), t.size() * sizeof(float));
+  const std::size_t sparse_bytes = 8 + nnz * 8;
+  if (sparse_bytes < t.size() * 4) {
+    w.u8(static_cast<std::uint8_t>(TensorMode::kSparse));
+    w.u64(nnz);
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      if (std::bit_cast<std::uint32_t>(data[i]) == 0) continue;
+      w.u32(static_cast<std::uint32_t>(i));
+      w.f32(data[i]);
+    }
+  } else {
+    w.u8(static_cast<std::uint8_t>(TensorMode::kDense));
+    w.f32s(data, t.size());
+  }
+}
+
+bool get_tensor(ByteReader& r, Tensor& out) {
+  const std::uint32_t rank = r.u32();
+  if (!r.ok() || rank > kMaxTensorRank) return false;
+  std::vector<std::size_t> shape(rank);
+  std::uint64_t volume = 1;
+  for (std::uint32_t d = 0; d < rank; ++d) {
+    const std::uint64_t dim = r.u64();
+    if (dim != 0 && volume > kMaxTensorElems / dim) return false;
+    volume *= dim;
+    shape[d] = static_cast<std::size_t>(dim);
+  }
+  if (!r.ok() || volume > kMaxTensorElems) return false;
+  const std::uint8_t mode = r.u8();
+  if (rank == 0) {
+    // A rank-0 Tensor is the canonical EMPTY tensor (zero elements), not a
+    // one-element scalar — the empty dim product above must not stand, and
+    // Tensor({}) would allocate one element. It always encodes dense with
+    // zero payload bytes.
+    if (!r.ok() || mode != static_cast<std::uint8_t>(TensorMode::kDense)) {
+      return false;
+    }
+    out = Tensor();
+    return true;
+  }
+  if (mode == static_cast<std::uint8_t>(TensorMode::kDense)) {
+    if (r.remaining() < volume * sizeof(float)) return false;
+    Tensor t = Tensor::uninit(shape);
+    r.f32s(t.data(), volume);
+    if (!r.ok()) return false;
+    out = std::move(t);
+    return true;
+  }
+  if (mode != static_cast<std::uint8_t>(TensorMode::kSparse)) return false;
+  const std::uint64_t nnz = r.count(8);
+  if (!r.ok() || nnz > volume) return false;
+  Tensor t(shape);  // zero-initialized; only the nonzeros are scattered
+  std::uint64_t prev = 0;
+  for (std::uint64_t k = 0; k < nnz; ++k) {
+    const std::uint32_t idx = r.u32();
+    const float val = r.f32();
+    // Strictly increasing indices: canonical encoding, no duplicates, and
+    // every index is bounds-checked before the store.
+    if (idx >= volume || (k > 0 && idx <= prev)) return false;
+    t.data()[idx] = val;
+    prev = idx;
+  }
+  if (!r.ok()) return false;
+  out = std::move(t);
+  return true;
+}
+
+void write_tensor(std::ostream& os, const Tensor& t) {
+  write_record(os, kTensorMagic, encode_tensor(t));
 }
 
 Tensor read_tensor(std::istream& is) {
-  char magic[4];
-  read_raw(is, magic, 4);
-  if (std::memcmp(magic, kTensorMagic, 4) != 0) {
-    throw std::runtime_error("read_tensor: bad magic");
-  }
-  const auto version = read_pod<std::uint32_t>(is);
-  if (version != kVersion) {
-    throw std::runtime_error("read_tensor: unsupported version");
-  }
-  const auto rank = read_pod<std::uint32_t>(is);
-  if (rank > 8) throw std::runtime_error("read_tensor: rank too large");
-  std::vector<std::size_t> shape(rank);
-  std::size_t volume = 1;
-  for (auto& d : shape) {
-    d = static_cast<std::size_t>(read_pod<std::uint64_t>(is));
-    if (d > (1ull << 32)) throw std::runtime_error("read_tensor: dim too big");
-    volume *= d;
-  }
-  if (volume > (1ull << 31)) {
-    throw std::runtime_error("read_tensor: tensor too large");
-  }
-  const auto count = read_pod<std::uint64_t>(is);
-  if (rank == 0 && count == 0) return Tensor();  // default-constructed
-  if (count != volume) {
-    throw std::runtime_error("read_tensor: element count mismatch");
-  }
-  Tensor t(std::move(shape));
-  read_raw(is, t.data(), t.size() * sizeof(float));
-  return t;
+  return decode_tensor(read_record(is, kTensorMagic));
 }
 
 void save_tensor(const std::string& path, const Tensor& t) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("save_tensor: cannot open " + path);
-  write_tensor(out, t);
+  save_record(path, kTensorMagic, encode_tensor(t));
 }
 
 Tensor load_tensor(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("load_tensor: cannot open " + path);
-  return read_tensor(in);
+  return decode_tensor(load_record(path, kTensorMagic));
 }
 
 void TensorArchive::put(const std::string& key, Tensor t) {
@@ -125,48 +140,45 @@ const Tensor& TensorArchive::get(const std::string& key) const {
   return it->second;
 }
 
-void TensorArchive::write(std::ostream& os) const {
-  write_raw(os, kArchiveMagic, 4);
-  write_pod<std::uint32_t>(os, kVersion);
-  write_pod<std::uint64_t>(os, entries_.size());
+std::vector<std::uint8_t> TensorArchive::encode() const {
+  ByteWriter w;
+  w.u64(entries_.size());
   for (const auto& [key, tensor] : entries_) {
-    write_string(os, key);
-    write_tensor(os, tensor);
+    w.str(key);
+    put_tensor(w, tensor);
   }
+  return w.take();
 }
 
-TensorArchive TensorArchive::read(std::istream& is) {
-  char magic[4];
-  read_raw(is, magic, 4);
-  if (std::memcmp(magic, kArchiveMagic, 4) != 0) {
-    throw std::runtime_error("TensorArchive: bad magic");
-  }
-  const auto version = read_pod<std::uint32_t>(is);
-  if (version != kVersion) {
-    throw std::runtime_error("TensorArchive: unsupported version");
-  }
-  const auto count = read_pod<std::uint64_t>(is);
-  if (count > (1ull << 20)) {
-    throw std::runtime_error("TensorArchive: too many entries");
-  }
+TensorArchive TensorArchive::decode(const std::vector<std::uint8_t>& body) {
+  ByteReader r(body);
   TensorArchive archive;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::string key = read_string(is);
-    archive.entries_[std::move(key)] = read_tensor(is);
+  // The smallest entry is an empty key and a rank-0 tensor.
+  const std::uint64_t count = r.count(4 + kMinTensorBytes);
+  for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
+    std::string key = r.str();
+    if (!get_tensor(r, archive.entries_[std::move(key)])) r.invalidate();
+  }
+  if (!r.done() || archive.entries_.size() != count) {
+    throw std::runtime_error("HSAR: malformed archive");
   }
   return archive;
 }
 
+void TensorArchive::write(std::ostream& os) const {
+  write_record(os, kArchiveMagic, encode());
+}
+
+TensorArchive TensorArchive::read(std::istream& is) {
+  return decode(read_record(is, kArchiveMagic));
+}
+
 void TensorArchive::save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("TensorArchive: cannot open " + path);
-  write(out);
+  save_record(path, kArchiveMagic, encode());
 }
 
 TensorArchive TensorArchive::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("TensorArchive: cannot open " + path);
-  return read(in);
+  return decode(load_record(path, kArchiveMagic));
 }
 
 }  // namespace hetero

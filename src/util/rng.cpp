@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numbers>
 
+#include "util/codec.h"
+
 namespace hetero {
 namespace {
 
@@ -151,6 +153,21 @@ void Rng::restore_state(const RngState& state) {
   for (int i = 0; i < 4; ++i) s_[i] = state.s[i];
   has_cached_normal_ = state.has_cached_normal;
   cached_normal_ = state.cached_normal;
+}
+
+void put_rng(ByteWriter& w, const RngState& s) {
+  for (std::uint64_t word : s.s) w.u64(word);
+  w.u8(s.has_cached_normal ? 1 : 0);
+  w.f64(s.cached_normal);
+}
+
+bool get_rng(ByteReader& r, RngState& out) {
+  for (std::uint64_t& word : out.s) word = r.u64();
+  const std::uint8_t cached = r.u8();
+  if (cached > 1) return false;
+  out.has_cached_normal = cached != 0;
+  out.cached_normal = r.f64();
+  return r.ok();
 }
 
 Rng Rng::fork(std::uint64_t tag) const {

@@ -21,6 +21,15 @@ struct RngState {
   double cached_normal = 0.0;
 };
 
+class ByteReader;
+class ByteWriter;
+
+/// RngState's binary encoding (util/codec.h) for checkpoints and the wire:
+/// four engine words, a u8 cache flag, the cached normal. get_rng returns
+/// false on truncation or a cache flag other than 0/1.
+void put_rng(ByteWriter& w, const RngState& s);
+bool get_rng(ByteReader& r, RngState& out);
+
 /// Deterministic random number generator (xoshiro256**).
 ///
 /// Not thread-safe; create one per logical stream. Use fork(tag) to derive

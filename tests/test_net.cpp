@@ -36,6 +36,8 @@
 #include "obs/jsonl.h"
 #include "obs/tracer.h"
 #include "scene/scene_gen.h"
+#include "tensor/serialize.h"
+#include "util/codec.h"
 #include "util/rng.h"
 
 namespace hetero {
@@ -60,17 +62,17 @@ std::vector<std::uint8_t> crc_test_bytes(std::size_t n, std::uint64_t seed) {
 TEST(Crc32, MatchesTheIeeeCheckValue) {
   const std::string check = "123456789";
   const auto* p = reinterpret_cast<const std::uint8_t*>(check.data());
-  EXPECT_EQ(net::crc32(p, check.size()), 0xCBF43926u);
-  EXPECT_EQ(net::detail::crc32_bytewise(p, check.size()), 0xCBF43926u);
-  EXPECT_EQ(net::crc32(p, 0), 0u);
+  EXPECT_EQ(crc32(p, check.size()), 0xCBF43926u);
+  EXPECT_EQ(detail::crc32_bytewise(p, check.size()), 0xCBF43926u);
+  EXPECT_EQ(crc32(p, 0), 0u);
 }
 
 TEST(Crc32, ChainsAtEverySplitPoint) {
   const auto bytes = crc_test_bytes(300, 5);
-  const std::uint32_t whole = net::crc32(bytes.data(), bytes.size());
+  const std::uint32_t whole = crc32(bytes.data(), bytes.size());
   for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
-    const std::uint32_t head = net::crc32(bytes.data(), cut);
-    EXPECT_EQ(net::crc32(bytes.data() + cut, bytes.size() - cut, head), whole)
+    const std::uint32_t head = crc32(bytes.data(), cut);
+    EXPECT_EQ(crc32(bytes.data() + cut, bytes.size() - cut, head), whole)
         << "split at " << cut;
   }
 }
@@ -82,14 +84,14 @@ TEST(Crc32, MatchesTheByteLoopAtEveryLengthAndAlignment) {
   for (std::size_t offset = 0; offset < 16; ++offset) {
     for (std::size_t len = 0; len <= 300; ++len) {
       const std::uint8_t* p = bytes.data() + offset;
-      ASSERT_EQ(net::crc32(p, len, 0x1234u),
-                net::detail::crc32_bytewise(p, len, 0x1234u))
+      ASSERT_EQ(crc32(p, len, 0x1234u),
+                detail::crc32_bytewise(p, len, 0x1234u))
           << "offset " << offset << " len " << len;
     }
   }
   const auto big = crc_test_bytes(1u << 20, 7);
-  EXPECT_EQ(net::crc32(big.data(), big.size()),
-            net::detail::crc32_bytewise(big.data(), big.size()));
+  EXPECT_EQ(crc32(big.data(), big.size()),
+            detail::crc32_bytewise(big.data(), big.size()));
 }
 
 // ------------------------------------------------- frame-parser robustness --
@@ -249,12 +251,12 @@ void expect_tensor_bits(const Tensor& a, const Tensor& b) {
 }
 
 Tensor tensor_round_trip(const Tensor& t) {
-  net::WireWriter w;
-  net::put_tensor(w, t);
+  ByteWriter w;
+  put_tensor(w, t);
   const auto bytes = w.take();
-  net::WireReader r(bytes);
+  ByteReader r(bytes);
   Tensor out;
-  EXPECT_TRUE(net::get_tensor(r, out));
+  EXPECT_TRUE(get_tensor(r, out));
   EXPECT_EQ(r.remaining(), 0u);
   return out;
 }
@@ -279,8 +281,8 @@ TEST(WireCodec, SparseTensorRoundTripsAndIsSmaller) {
   Tensor t({256});
   t[3] = 1.5f;
   t[200] = -2.25f;
-  net::WireWriter dense_probe;
-  net::put_tensor(dense_probe, t);
+  ByteWriter dense_probe;
+  put_tensor(dense_probe, t);
   // 2 nonzeros of 256: far under the dense 1KiB.
   EXPECT_LT(dense_probe.data().size(), 256 * sizeof(float));
   expect_tensor_bits(t, tensor_round_trip(t));
@@ -397,6 +399,14 @@ TEST(WireCodec, DigestRoundTripsMetas) {
   EXPECT_EQ(out.metas[0].quarantined, 0);
   EXPECT_EQ(out.metas[1].client_id, 43u);
   EXPECT_EQ(out.metas[1].quarantined, 1);
+}
+
+TEST(WireCodec, PutMetaWritesExactlyTheMetaSize) {
+  // decode_digest bounds the meta count by kWireMetaSize, so the constant
+  // must be the encoder's true per-meta size.
+  ByteWriter w;
+  net::put_meta(w, net::WireUpdateMeta{});
+  EXPECT_EQ(w.data().size(), net::kWireMetaSize);
 }
 
 TEST(WireCodec, EveryTruncationOfAValidPayloadIsRejected) {

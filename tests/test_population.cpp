@@ -3,9 +3,12 @@
 // exclusion, cross-thread determinism of simulations over lazy providers,
 // the sparse without-replacement sampler, and checkpoint/resume.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <set>
 #include <stdexcept>
@@ -405,6 +408,35 @@ TEST(Checkpoint, ResumeIsBitIdentical) {
                std::invalid_argument);
 
   std::remove((dir + "/checkpoint.bin").c_str());
+}
+
+TEST(Checkpoint, VersionOneFileIsRefusedOnResume) {
+  // A checkpoint.bin from before the sealed-record layout: magic, u32
+  // version 1, then the old unchecked fields.
+  const std::string dir =
+      ::testing::TempDir() + "hs_ckpt_v1_" + std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  {
+    std::ofstream out(dir + "/checkpoint.bin", std::ios::binary);
+    out.write("HSCK\x01\x00\x00\x00", 8);
+    out.write(std::string(64, '\0').data(), 64);
+  }
+  CheckpointOptions ckpt;
+  ckpt.dir = dir;
+  SceneGenerator scenes(16);
+  const VirtualPopulation pop(small_single_label(scenes, 8), Rng(73).fork(1));
+  FedAvg algo(fast_cfg());
+  auto model = tiny_model(10);
+  try {
+    run_sim(*model, algo, pop, 2, 1, ckpt);
+    ADD_FAILURE() << "a version-1 checkpoint was resumed";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("version 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("delete"), std::string::npos) << what;
+    EXPECT_NE(what.find("resume=0"), std::string::npos) << what;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Checkpoint, RejectedUnderScheduledModes) {
