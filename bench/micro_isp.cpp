@@ -7,9 +7,10 @@
 // nonzero if the fast path fails to reach 3x reference throughput on the
 // full ISP pipeline (raw -> denoise -> demosaic -> WB -> gamut -> tone ->
 // JPEG), so CI can gate on the vectorization staying effective. The
-// scene-to-tensor capture path is recorded but not gated: it includes the
-// sensor's serial Box-Muller noise draws, which bit-exactness pins to the
-// seed's per-pixel RNG order, so its ratio is capped well below the ISP's.
+// scene-to-tensor capture path is recorded but not gated: the sensor
+// (optics blur, vectorized noise from its own stream layout) is not an
+// HS_ISP stage, so both paths run the same sensor code and its share
+// dilutes the capture ratio.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>

@@ -52,7 +52,7 @@ float* scratch(std::size_t slot, std::size_t count);
 enum ScratchSlot : std::size_t {
   kSlotDemosaicA = 0,  // AHD horizontal candidate / binning half-res
   kSlotDemosaicB,      // AHD vertical candidate
-  kSlotDenoise,        // FBDD border medians / wavelet planes
+  kSlotDenoise,        // FBDD deinterleaved rows / wavelet planes
   kSlotQuantile,       // white-balance channel quantile copies
   kSlotTone,           // tone-equalization luminance plane
   kSlotJpegA,          // JPEG YCbCr planes

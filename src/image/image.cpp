@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "kernels/isa.h"
+
 namespace hetero {
 
 Image::Image(std::size_t height, std::size_t width)
@@ -149,10 +151,41 @@ Image resize_bilinear(const Image& src, std::size_t out_h, std::size_t out_w) {
   return dst;
 }
 
+namespace {
+
+/// dst[j] = sum over taps i of k[i] * rows[i][j], for j < n. Each element
+/// accumulates its taps one by one in tap order from 0.0f, the seed's
+/// per-element chain; vectorization runs independent elements in lanes.
+HS_TILED_CLONES
+void accumulate_taps(float* HS_RESTRICT dst, const float* const* rows,
+                     const float* HS_RESTRICT k, int taps, std::size_t n) {
+  // Blocks of kBlock elements keep their accumulators in registers across
+  // the taps; the tail runs the same chain one element at a time.
+  constexpr std::size_t kBlock = 16;
+  std::size_t j0 = 0;
+  for (; j0 + kBlock <= n; j0 += kBlock) {
+    float acc[kBlock] = {};
+    for (int i = 0; i < taps; ++i) {
+      const float ki = k[i];
+      const float* HS_RESTRICT row = rows[i] + j0;
+      for (std::size_t l = 0; l < kBlock; ++l) acc[l] += ki * row[l];
+    }
+    for (std::size_t l = 0; l < kBlock; ++l) dst[j0 + l] = acc[l];
+  }
+  for (std::size_t j = j0; j < n; ++j) {
+    float acc = 0.0f;
+    for (int i = 0; i < taps; ++i) acc += k[i] * rows[i][j];
+    dst[j] = acc;
+  }
+}
+
+}  // namespace
+
 Image gaussian_blur(const Image& src, float sigma) {
   if (sigma <= 0.0f || src.empty()) return src;
   const int radius = std::max(1, static_cast<int>(std::ceil(2.5f * sigma)));
-  std::vector<float> kernel(2 * radius + 1);
+  const int taps = 2 * radius + 1;
+  std::vector<float> kernel(static_cast<std::size_t>(taps));
   float ksum = 0.0f;
   for (int i = -radius; i <= radius; ++i) {
     kernel[i + radius] = std::exp(-0.5f * (i * i) / (sigma * sigma));
@@ -162,64 +195,47 @@ Image gaussian_blur(const Image& src, float sigma) {
 
   const int h = static_cast<int>(src.height());
   const int w = static_cast<int>(src.width());
+  const std::ptrdiff_t stride = static_cast<std::ptrdiff_t>(w) * 3;
   Image tmp(src.height(), src.width());
   Image dst(src.height(), src.width());
   const float* kp = kernel.data();
   const float* sp = src.data();
   float* tp = tmp.data();
-  float* dp = dst.data();
-  // Horizontal pass with clamped borders; interior columns skip the clamp
-  // (where it is a no-op anyway), keeping each tap sum in the same order.
+  std::vector<const float*> rows(static_cast<std::size_t>(taps));
+  // Horizontal pass, row-major: the interior columns of a row are one
+  // contiguous span whose tap i reads the row shifted by 3 * (i - radius);
+  // the clamped border columns keep the seed's per-pixel scan.
   const int xlo = std::min(radius, w);
   const int xhi = std::max(w - radius, xlo);
   for (int y = 0; y < h; ++y) {
-    const float* srow = sp + static_cast<std::ptrdiff_t>(y) * w * 3;
-    float* trow = tp + static_cast<std::ptrdiff_t>(y) * w * 3;
-    for (int x = 0; x < w; ++x) {
-      const bool interior = x >= xlo && x < xhi;
-      for (std::size_t c = 0; c < 3; ++c) {
-        float acc = 0.0f;
-        if (interior) {
-          const float* s = srow + static_cast<std::ptrdiff_t>(x - radius) * 3 +
-                           static_cast<std::ptrdiff_t>(c);
-          const int taps = 2 * radius + 1;
-          for (int i = 0; i < taps; ++i) acc += kp[i] * s[3 * i];
-        } else {
-          for (int i = -radius; i <= radius; ++i) {
-            const int xx = std::clamp(x + i, 0, w - 1);
-            acc += kp[i + radius] * srow[xx * 3 + static_cast<int>(c)];
-          }
-        }
-        trow[x * 3 + static_cast<int>(c)] = acc;
-      }
+    const float* srow = sp + y * stride;
+    float* trow = tp + y * stride;
+    if (xhi > xlo) {  // xlo == radius here, so every tap row is in bounds
+      for (int i = 0; i < taps; ++i) rows[i] = srow + 3 * i;
+      accumulate_taps(trow + 3 * xlo, rows.data(), kp, taps,
+                      static_cast<std::size_t>(3 * (xhi - xlo)));
     }
+    auto border = [&](int x) {
+      for (int c = 0; c < 3; ++c) {
+        float acc = 0.0f;
+        for (int i = -radius; i <= radius; ++i) {
+          const int xx = std::clamp(x + i, 0, w - 1);
+          acc += kp[i + radius] * srow[xx * 3 + c];
+        }
+        trow[x * 3 + c] = acc;
+      }
+    };
+    for (int x = 0; x < xlo; ++x) border(x);
+    for (int x = xhi; x < w; ++x) border(x);
   }
-  // Vertical pass.
+  // Vertical pass, row-major: tap i of output row y is the whole clamped
+  // row y + i - radius, so border rows need no special case.
   for (int y = 0; y < h; ++y) {
-    const bool interior = y >= radius && y + radius < h;
-    float* drow = dp + static_cast<std::ptrdiff_t>(y) * w * 3;
-    for (int x = 0; x < w; ++x) {
-      for (std::size_t c = 0; c < 3; ++c) {
-        float acc = 0.0f;
-        if (interior) {
-          const float* s = tp +
-                           (static_cast<std::ptrdiff_t>(y - radius) * w + x) *
-                               3 +
-                           static_cast<std::ptrdiff_t>(c);
-          const int taps = 2 * radius + 1;
-          const std::ptrdiff_t stride = static_cast<std::ptrdiff_t>(w) * 3;
-          for (int i = 0; i < taps; ++i) acc += kp[i] * s[stride * i];
-        } else {
-          for (int i = -radius; i <= radius; ++i) {
-            const int yy = std::clamp(y + i, 0, h - 1);
-            acc += kp[i + radius] *
-                   tp[(static_cast<std::ptrdiff_t>(yy) * w + x) * 3 +
-                      static_cast<std::ptrdiff_t>(c)];
-          }
-        }
-        drow[x * 3 + static_cast<int>(c)] = acc;
-      }
+    for (int i = 0; i < taps; ++i) {
+      rows[i] = tp + std::clamp(y - radius + i, 0, h - 1) * stride;
     }
+    accumulate_taps(dst.data() + y * stride, rows.data(), kp, taps,
+                    static_cast<std::size_t>(stride));
   }
   return dst;
 }

@@ -130,79 +130,130 @@ RawImage denoise_wavelet(const RawImage& raw) {
 // statistic, so any exact selection yields the seed value). See
 // tests/test_isp_parity.cpp.
 
-/// Exact median of 9 via the classic minimal exchange network (Paeth /
-/// Devillard). Produces the 5th-smallest element — the same value
-/// nth_element(begin, begin+4, end) selects.
-HS_ALWAYS_INLINE float median9(float* HS_RESTRICT p) {
-  auto sort2 = [](float& a, float& b) {
-    const float lo = std::min(a, b), hi = std::max(a, b);
-    a = lo;
-    b = hi;
-  };
-  sort2(p[1], p[2]); sort2(p[4], p[5]); sort2(p[7], p[8]);
-  sort2(p[0], p[1]); sort2(p[3], p[4]); sort2(p[6], p[7]);
-  sort2(p[1], p[2]); sort2(p[4], p[5]); sort2(p[7], p[8]);
-  sort2(p[0], p[3]); sort2(p[5], p[8]); sort2(p[4], p[7]);
-  sort2(p[3], p[6]); sort2(p[1], p[4]); sort2(p[2], p[5]);
-  sort2(p[4], p[7]); sort2(p[4], p[2]); sort2(p[6], p[4]);
-  sort2(p[4], p[2]);
-  return p[4];
+/// A median-selection exchange network: exchange i puts min(s[a], s[b])
+/// in slot a and the max in slot b, the seed's sort2. Sorting `rows`
+/// slots (the samples, padded with +inf sentinels) leaves the median of
+/// the samples in slot `mid` - the value nth_element(s, s + n / 2, s + n)
+/// selects, since any exact selection of a k-th order statistic agrees.
+struct ExchangeNet {
+  int n = 0;  ///< exchanges
+  int rows = 0;
+  int mid = 0;
+  std::uint8_t a[72], b[72];
+  void add(int lo, int hi) {
+    a[n] = static_cast<std::uint8_t>(lo);
+    b[n] = static_cast<std::uint8_t>(hi);
+    ++n;
+  }
+};
+
+/// Median of 9 (the R/B same-channel count in a 5x5 window): the classic
+/// minimal network (Paeth / Devillard), median in slot 4.
+const ExchangeNet& median9_net() {
+  static const ExchangeNet net = [] {
+    ExchangeNet m;
+    m.rows = 9;
+    m.mid = 4;
+    const int pairs[19][2] = {{1, 2}, {4, 5}, {7, 8}, {0, 1}, {3, 4},
+                              {6, 7}, {1, 2}, {4, 5}, {7, 8}, {0, 3},
+                              {5, 8}, {4, 7}, {3, 6}, {1, 4}, {2, 5},
+                              {4, 7}, {4, 2}, {6, 4}, {4, 2}};
+    for (const auto& p : pairs) m.add(p[0], p[1]);
+    return m;
+  }();
+  return net;
 }
 
-/// Comparator schedule of Batcher's odd-even mergesort for 16 inputs (63
-/// exchanges), generated once at first use — correct by construction
-/// rather than a memorized network. Sorting 13 samples padded with three
-/// +inf sentinels leaves the median at element 6.
-struct Batcher16 {
-  int n = 0;
-  std::uint8_t a[72], b[72];
-  Batcher16() {
+/// Median of 13 (the Bayer G-phase count): Batcher's odd-even mergesort
+/// for 16 slots (63 exchanges), generated rather than memorized, over the
+/// 13 samples plus three +inf sentinels; the median lands in slot 6.
+const ExchangeNet& median13_net() {
+  static const ExchangeNet net = [] {
+    ExchangeNet m;
     constexpr int kN = 16;
+    m.rows = kN;
+    m.mid = 6;
     for (int p = 1; p < kN; p <<= 1) {
       for (int k = p; k >= 1; k >>= 1) {
         for (int j = k % p; j + k < kN; j += 2 * k) {
           for (int i = 0; i < k && i + j + k < kN; ++i) {
             if ((i + j) / (2 * p) == (i + j + k) / (2 * p)) {
-              a[n] = static_cast<std::uint8_t>(i + j);
-              b[n] = static_cast<std::uint8_t>(i + j + k);
-              ++n;
+              m.add(i + j, i + j + k);
             }
           }
         }
       }
     }
-  }
-};
-
-const Batcher16& batcher16() {
-  static const Batcher16 net;
+    return m;
+  }();
   return net;
 }
 
-/// Exact median of 13 (the Bayer G-phase same-channel count in a 5x5
-/// window): branchless sorting network over the padded 16-vector. Any
-/// exact selection returns the value nth_element(s, s+6, s+13) would.
-HS_ALWAYS_INLINE float median13(const float* HS_RESTRICT src,
-                                const Batcher16& net) {
-  float s[16];
-  for (int i = 0; i < 13; ++i) s[i] = src[i];
-  s[13] = s[14] = s[15] = std::numeric_limits<float>::infinity();
-  for (int i = 0; i < net.n; ++i) {
-    float& x = s[net.a[i]];
-    float& y = s[net.b[i]];
-    const float lo = std::min(x, y), hi = std::max(x, y);
-    x = lo;
-    y = hi;
+/// Same-phase pixels of one row that share every comparator exchange.
+constexpr int kFbddLanes = 16;
+
+/// One CFA phase's same-channel taps inside the 5x5 window, in the
+/// scalar dy/dx scan order, as offsets into the column-deinterleaved
+/// store (see denoise_fbdd_fast) relative to the pixel's own slot.
+struct FbddPhase {
+  int n = 0;
+  std::ptrdiff_t off[25];
+  const ExchangeNet* net = nullptr;
+};
+
+/// The seed's sort2 on every lane: lo_row gets the minimum, hi_row the
+/// maximum. The two rows are distinct slots of one block.
+HS_ALWAYS_INLINE void exchange(float* HS_RESTRICT lo_row,
+                               float* HS_RESTRICT hi_row) {
+  for (int l = 0; l < kFbddLanes; ++l) {
+    const float a = lo_row[l], b = hi_row[l];
+    const float lo = std::min(a, b), hi = std::max(a, b);
+    lo_row[l] = lo;
+    hi_row[l] = hi;
   }
-  return s[6];
 }
 
-/// Same-channel offsets of one CFA phase inside the 5x5 window, in the
-/// scalar dy/dx scan order. Interior-only (no clamping).
-struct FbddTab {
-  int n = 0;
-  int off[25];
-};
+/// FBDD interior, rows [2, h - 2): each row's pixels of one column phase
+/// run kFbddLanes at a time through the phase's exchange network, one
+/// exchange applied to all lanes at once. Per pixel this is the seed's
+/// median (same samples, same exchanges in the same order) and blend.
+/// `store` holds, per raw row y and column parity p, the row's parity-p
+/// samples at store + (2 * y + p) * pitch, padded to pitch with zeros so a
+/// full block may read past the row's last same-phase pixel.
+HS_TILED_CLONES
+void fbdd_interior(const float* HS_RESTRICT store, std::ptrdiff_t pitch,
+                   const FbddPhase (&tab)[2][2], int h, int w,
+                   float* HS_RESTRICT op) {
+  alignas(32) float s[16][kFbddLanes];
+  alignas(32) float res[kFbddLanes];
+  for (int y = 2; y < h - 2; ++y) {
+    for (int px = 0; px < 2; ++px) {
+      const FbddPhase& t = tab[y & 1][px];
+      const ExchangeNet& net = *t.net;
+      const float* own = store + (2 * y + px) * pitch;
+      // Pixel x = 2m + px is interior for m in [1, mhi).
+      const int mhi = (w - 1 - px) / 2;
+      for (int m0 = 1; m0 < mhi; m0 += kFbddLanes) {
+        for (int k = 0; k < t.n; ++k) {
+          const float* src = own + m0 + t.off[k];
+          for (int l = 0; l < kFbddLanes; ++l) s[k][l] = src[l];
+        }
+        for (int k = t.n; k < net.rows; ++k) {
+          for (int l = 0; l < kFbddLanes; ++l) {
+            s[k][l] = std::numeric_limits<float>::infinity();
+          }
+        }
+        for (int i = 0; i < net.n; ++i) exchange(s[net.a[i]], s[net.b[i]]);
+        for (int l = 0; l < kFbddLanes; ++l) {
+          res[l] = 0.5f * own[m0 + l] + 0.5f * s[net.mid][l];
+        }
+        float* orow = op + static_cast<std::ptrdiff_t>(y) * w + 2 * m0 + px;
+        const int lanes = std::min(kFbddLanes, mhi - m0);
+        for (int l = 0; l < lanes; ++l) orow[2 * l] = res[l];
+      }
+    }
+  }
+}
 
 RawImage denoise_fbdd_fast(const RawImage& raw) {
   const int h = static_cast<int>(raw.height());
@@ -216,45 +267,49 @@ RawImage denoise_fbdd_fast(const RawImage& raw) {
                                   static_cast<std::size_t>(std::min(px, w - 1)));
     }
   }
-  FbddTab tab[2][2];
-  for (int py = 0; py < 2; ++py) {
-    for (int px = 0; px < 2; ++px) {
-      FbddTab& t = tab[py][px];
-      for (int dy = -2; dy <= 2; ++dy) {
-        for (int dx = -2; dx <= 2; ++dx) {
-          if (pc[(py + dy) & 1][(px + dx) & 1] == pc[py][px]) {
-            t.off[t.n++] = dy * w + dx;
-          }
-        }
-      }
-    }
-  }
 
   const float* HS_RESTRICT rp = raw.data();
   float* HS_RESTRICT op = out.data();
-  const Batcher16& net = batcher16();
-  for (int y = 2; y < h - 2; ++y) {
-    const int py = y & 1;
-    const float* row = rp + static_cast<std::ptrdiff_t>(y) * w;
-    float* orow = op + static_cast<std::ptrdiff_t>(y) * w;
-    for (int x = 2; x < w - 2; ++x) {
-      const FbddTab& t = tab[py][x & 1];
-      float s[25];
-      for (int k = 0; k < t.n; ++k) s[k] = row[x + t.off[k]];
-      float med;
-      if (t.n == 9) {
-        med = median9(s);
-      } else if (t.n == 13) {
-        med = median13(s, net);
-      } else {
-        std::nth_element(s, s + t.n / 2, s + t.n);
-        med = s[t.n / 2];
+  if (h > 4 && w > 4) {
+    // Column-deinterleaved copy (mosaics have even sides): same-phase
+    // pixels become contiguous.
+    const int pw = w / 2;
+    const std::ptrdiff_t pitch = pw + kFbddLanes;
+    float* store = img::scratch(img::kSlotDenoise,
+                                static_cast<std::size_t>(2 * h * pitch));
+    for (int y = 0; y < h; ++y) {
+      const float* row = rp + static_cast<std::ptrdiff_t>(y) * w;
+      for (int p = 0; p < 2; ++p) {
+        float* dst = store + (2 * y + p) * pitch;
+        for (int m = 0; m < pw; ++m) dst[m] = row[2 * m + p];
+        std::fill(dst + pw, dst + pitch, 0.0f);
       }
-      orow[x] = 0.5f * row[x] + 0.5f * med;
     }
+    FbddPhase tab[2][2];
+    for (int py = 0; py < 2; ++py) {
+      for (int px = 0; px < 2; ++px) {
+        FbddPhase& t = tab[py][px];
+        for (int dy = -2; dy <= 2; ++dy) {
+          for (int dx = -2; dx <= 2; ++dx) {
+            if (pc[(py + dy) & 1][(px + dx) & 1] == pc[py][px]) {
+              // Column x + dx = 2 (m + floor((px + dx) / 2)) + parity.
+              const int parity = (px + dx) & 1;
+              const int shift = (px + dx - parity) / 2;
+              t.off[t.n++] = (2 * dy + parity - px) * pitch + shift;
+            }
+          }
+        }
+        HS_CHECK(t.n == 9 || t.n == 13,
+                 "denoise: FBDD needs a Bayer colour filter array");
+        t.net = t.n == 9 ? &median9_net() : &median13_net();
+      }
+    }
+    fbdd_interior(store, pitch, tab, h, w, op);
   }
 
-  // Clamped border ring (two pixels): the seed per-pixel scan verbatim.
+  // Clamped border ring (two pixels): the seed's per-pixel scan, with the
+  // median found by insertion sort - for at most 25 samples cheaper than
+  // nth_element's introselect, and the same order statistic.
   auto border_pixel = [&](int y, int x) {
     const int own = pc[y & 1][x & 1];
     float s[25];
@@ -268,7 +323,12 @@ RawImage denoise_fbdd_fast(const RawImage& raw) {
         }
       }
     }
-    std::nth_element(s, s + n / 2, s + n);
+    for (int i = 1; i < n; ++i) {
+      const float v = s[i];
+      int j = i;
+      for (; j > 0 && v < s[j - 1]; --j) s[j] = s[j - 1];
+      s[j] = v;
+    }
     const float orig = rp[static_cast<std::ptrdiff_t>(y) * w + x];
     op[static_cast<std::ptrdiff_t>(y) * w + x] = 0.5f * orig + 0.5f * s[n / 2];
   };

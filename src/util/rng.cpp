@@ -1,7 +1,9 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <iterator>
 #include <numbers>
 
 #include "util/codec.h"
@@ -40,6 +42,12 @@ std::uint64_t Rng::next_u64() {
   s_[2] ^= t;
   s_[3] = rotl(s_[3], 45);
   return result;
+}
+
+void Rng::fill_u64(std::uint64_t* out, std::size_t n) {
+  Rng local = *this;
+  for (std::size_t i = 0; i < n; ++i) out[i] = local.next_u64();
+  std::copy(std::begin(local.s_), std::end(local.s_), s_);
 }
 
 double Rng::uniform() {

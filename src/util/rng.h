@@ -42,6 +42,10 @@ class Rng {
   /// Next raw 64-bit value.
   std::uint64_t next_u64();
 
+  /// Writes the next n raw values to out: the same stream as n next_u64()
+  /// calls, with the engine state held in registers across the loop.
+  void fill_u64(std::uint64_t* out, std::size_t n);
+
   /// Uniform double in [0, 1).
   double uniform();
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "image/color.h"
 #include "image/image.h"
@@ -135,6 +139,78 @@ TEST(GaussianBlur, ConstantImageInvariant) {
   img.fill(0.6f, 0.6f, 0.6f);
   Image out = gaussian_blur(img, 2.0f);
   EXPECT_NEAR(image_mad(img, out), 0.0, 1e-5);
+}
+
+/// The seed's gaussian_blur, verbatim: per-pixel clamped tap loops with the
+/// tap loop innermost. The row-major rewrite must reproduce it bit for bit.
+Image seed_gaussian_blur(const Image& src, float sigma) {
+  if (sigma <= 0.0f || src.empty()) return src;
+  const int radius = std::max(1, static_cast<int>(std::ceil(2.5f * sigma)));
+  std::vector<float> kernel(2 * radius + 1);
+  float ksum = 0.0f;
+  for (int i = -radius; i <= radius; ++i) {
+    kernel[i + radius] = std::exp(-0.5f * (i * i) / (sigma * sigma));
+    ksum += kernel[i + radius];
+  }
+  for (float& k : kernel) k /= ksum;
+
+  const int h = static_cast<int>(src.height());
+  const int w = static_cast<int>(src.width());
+  Image tmp(src.height(), src.width());
+  Image dst(src.height(), src.width());
+  // Horizontal pass with clamped borders.
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      for (std::size_t c = 0; c < 3; ++c) {
+        float acc = 0.0f;
+        for (int i = -radius; i <= radius; ++i) {
+          const int xx = std::clamp(x + i, 0, w - 1);
+          acc += kernel[i + radius] *
+                 src.at(static_cast<std::size_t>(y),
+                        static_cast<std::size_t>(xx), c);
+        }
+        tmp.at(static_cast<std::size_t>(y), static_cast<std::size_t>(x), c) =
+            acc;
+      }
+    }
+  }
+  // Vertical pass.
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      for (std::size_t c = 0; c < 3; ++c) {
+        float acc = 0.0f;
+        for (int i = -radius; i <= radius; ++i) {
+          const int yy = std::clamp(y + i, 0, h - 1);
+          acc += kernel[i + radius] *
+                 tmp.at(static_cast<std::size_t>(yy),
+                        static_cast<std::size_t>(x), c);
+        }
+        dst.at(static_cast<std::size_t>(y), static_cast<std::size_t>(x), c) =
+            acc;
+      }
+    }
+  }
+  return dst;
+}
+
+TEST(GaussianBlur, MatchesSeedLoopBitForBit) {
+  // Radii 1..7 against images down to 1x1, so several are narrower (or
+  // shorter) than the kernel and have no interior span at all.
+  const std::pair<std::size_t, std::size_t> sizes[] = {
+      {1, 1}, {3, 5}, {4, 4}, {17, 9}, {64, 64}};
+  Rng rng(31);
+  for (float sigma : {0.3f, 0.45f, 0.6f, 1.0f, 2.5f}) {
+    for (const auto& [h, w] : sizes) {
+      Image img(h, w);
+      for (float& v : img.flat()) v = rng.uniform_f(-0.25f, 1.25f);
+      const Image got = gaussian_blur(img, sigma);
+      const Image want = seed_gaussian_blur(img, sigma);
+      ASSERT_EQ(got.flat().size(), want.flat().size());
+      EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                               want.flat().size() * sizeof(float)))
+          << "sigma " << sigma << ", " << h << "x" << w;
+    }
+  }
 }
 
 TEST(ImageMad, RequiresSameSize) {

@@ -2,7 +2,12 @@
 // composed pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <utility>
+#include <vector>
 
 #include "device/device_profile.h"
 #include "isp/pipeline.h"
@@ -197,6 +202,214 @@ TEST(Sensor, ConfigValidation) {
   SensorConfig bad_depth;
   bad_depth.bit_depth = 2;
   EXPECT_THROW(SensorModel{bad_depth}, std::invalid_argument);
+}
+
+/// The seed's SensorModel::capture, verbatim: per-pixel gain, vignetting,
+/// two Rng::normal draws, black level, clip and std::round quantization.
+/// With both noise terms at zero its draws add exactly +0.0, so it is the
+/// oracle for every non-noise step of the vectorized capture.
+RawImage seed_capture(const SensorConfig& c, const Image& scene, Rng& rng) {
+  Image focal = gaussian_blur(scene, c.optics_blur_sigma);
+  focal = resize_bilinear(focal, c.raw_height, c.raw_width);
+  focal = apply_color_matrix(focal, c.spectral_response);
+  if (c.illuminant_variation > 0.0f) {
+    const float temp =
+        std::exp(static_cast<float>(rng.normal(0.0, c.illuminant_variation)));
+    const float green = std::exp(static_cast<float>(
+        rng.normal(0.0, c.illuminant_variation / 3.0)));
+    for (std::size_t i = 0; i < focal.num_pixels(); ++i) {
+      focal.data()[3 * i] *= temp;
+      focal.data()[3 * i + 1] *= green;
+      focal.data()[3 * i + 2] /= temp;
+    }
+  }
+
+  RawImage raw(c.raw_height, c.raw_width, c.pattern);
+  const float cy = (static_cast<float>(c.raw_height) - 1.0f) / 2.0f;
+  const float cx = (static_cast<float>(c.raw_width) - 1.0f) / 2.0f;
+  const float max_r2 = cy * cy + cx * cx;
+  const float levels = static_cast<float>((1 << c.bit_depth) - 1);
+
+  for (std::size_t y = 0; y < c.raw_height; ++y) {
+    for (std::size_t x = 0; x < c.raw_width; ++x) {
+      const int ch = raw.channel_at(y, x);
+      float signal =
+          focal.at(y, x, static_cast<std::size_t>(ch)) * c.exposure_gain;
+      signal = std::max(signal, 0.0f);
+      const float dy = static_cast<float>(y) - cy;
+      const float dx = static_cast<float>(x) - cx;
+      const float falloff = 1.0f - c.vignetting * (dy * dy + dx * dx) / max_r2;
+      signal *= falloff;
+      const float shot_sigma = c.shot_noise * std::sqrt(signal);
+      signal += static_cast<float>(rng.normal(0.0, shot_sigma));
+      signal += static_cast<float>(rng.normal(0.0, c.read_noise));
+      signal = std::clamp(signal * (1.0f - c.black_level) + c.black_level,
+                          0.0f, 1.0f);
+      signal = std::round(signal * levels) / levels;
+      raw.at(y, x) = signal;
+    }
+  }
+  return raw;
+}
+
+/// A scene with values below 0 and above 1, so the clip and both clamp
+/// ends of the exposure loop are exercised.
+Image random_scene(std::size_t size, std::uint64_t seed) {
+  Image img(size, size);
+  Rng rng(seed);
+  for (float& v : img.flat()) v = rng.uniform_f(-0.1f, 1.2f);
+  return img;
+}
+
+TEST(Sensor, NoiselessCaptureMatchesSeedLoop) {
+  const BayerPattern patterns[] = {BayerPattern::kRGGB, BayerPattern::kBGGR,
+                                   BayerPattern::kGRBG, BayerPattern::kGBRG};
+  const auto& devices = paper_devices();
+  std::size_t case_index = 0;
+  for (std::size_t size : {32u, 48u, 64u}) {
+    for (BayerPattern pattern : patterns) {
+      // Every device's optics, response, gain, vignetting, black level and
+      // bit depth in turn, with its noise switched off.
+      SensorConfig c = devices[case_index++ % devices.size()].sensor;
+      c.raw_height = size;
+      c.raw_width = size;
+      c.pattern = pattern;
+      c.shot_noise = 0.0f;
+      c.read_noise = 0.0f;
+      const Image scene = random_scene(64, 100 + case_index);
+      // The device's ADC, then a 16-bit one fine enough that a one-ulp
+      // change in any pre-quantization step shows in the codes.
+      for (int depth : {c.bit_depth, 16}) {
+        c.bit_depth = depth;
+        Rng r_new(case_index), r_seed(case_index);
+        const RawImage got = SensorModel(c).capture(scene, r_new);
+        const RawImage want = seed_capture(c, scene, r_seed);
+        ASSERT_EQ(got.flat().size(), want.flat().size());
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 want.flat().size() * sizeof(float)))
+            << size << "x" << size << " pattern "
+            << static_cast<int>(pattern) << " depth " << depth;
+      }
+    }
+  }
+}
+
+/// Flat-field noise samples: a gray scene of the mosaic's own size (so the
+/// resize is exact), no optics, vignetting or illuminant, 16-bit ADC.
+/// Returns raw - level over `shots` 128x128 captures.
+std::vector<double> flat_field_noise(float level, float shot, float read,
+                                     int shots) {
+  SensorConfig c = quiet_sensor();
+  c.raw_height = 128;
+  c.raw_width = 128;
+  c.shot_noise = shot;
+  c.read_noise = read;
+  const SensorModel sensor(c);
+  const Image scene = gray_scene(128, level);
+  Rng rng(2024);
+  std::vector<double> dev;
+  for (int s = 0; s < shots; ++s) {
+    const RawImage raw = sensor.capture(scene, rng);
+    for (float v : raw.flat()) dev.push_back(static_cast<double>(v) - level);
+  }
+  return dev;
+}
+
+TEST(Sensor, NoiseMomentsMatchConfig) {
+  // Read noise alone: zero mean, configured std, Gaussian 3-sigma tails.
+  const double read = 0.01;
+  const std::vector<double> dev =
+      flat_field_noise(0.5f, 0.0f, static_cast<float>(read), 16);
+  const double n = static_cast<double>(dev.size());
+  double sum = 0.0, sq = 0.0;
+  std::size_t beyond = 0;
+  for (double d : dev) {
+    sum += d;
+    sq += d * d;
+    if (std::abs(d) > 3.0 * read) ++beyond;
+  }
+  const double mean = sum / n;
+  const double sd = std::sqrt(sq / n - mean * mean);
+  EXPECT_NEAR(sd, read, 0.03 * read);
+  EXPECT_LT(std::abs(mean), 3.0 * read / std::sqrt(n));
+  const double tail = static_cast<double>(beyond) / n;  // 0.27% for N(0,1)
+  EXPECT_GT(tail, 0.0020);
+  EXPECT_LT(tail, 0.0035);
+
+  // Shot noise alone: variance = shot^2 * signal, so a least-squares line
+  // of variance against signal has slope shot^2.
+  const double shot = 0.02;
+  std::vector<double> xs, ys;
+  for (float level : {0.1f, 0.3f, 0.5f, 0.7f}) {
+    const std::vector<double> d =
+        flat_field_noise(level, static_cast<float>(shot), 0.0f, 4);
+    double s1 = 0.0, s2 = 0.0;
+    for (double v : d) {
+      s1 += v;
+      s2 += v * v;
+    }
+    const double m = static_cast<double>(d.size());
+    xs.push_back(level);
+    ys.push_back(s2 / m - (s1 / m) * (s1 / m));
+  }
+  double mx = 0.0, my = 0.0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    mx += xs[i] / static_cast<double>(xs.size());
+    my += ys[i] / static_cast<double>(ys.size());
+  }
+  double sxy = 0.0, sxx = 0.0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    sxy += (xs[i] - mx) * (ys[i] - my);
+    sxx += (xs[i] - mx) * (xs[i] - mx);
+  }
+  EXPECT_NEAR(sxy / sxx, shot * shot, 0.05 * shot * shot);
+}
+
+TEST(Sensor, RngAdvanceDependsOnlyOnGeometry) {
+  // One u64 per mosaic pixel, whatever the scene or the noise levels: the
+  // stream after a capture is the stream advanced by height * width draws
+  // (plus the two illuminant normals when that variation is on).
+  const std::pair<std::size_t, std::size_t> sizes[] = {
+      {32, 32}, {48, 64}, {64, 30}};
+  for (const auto& [h, w] : sizes) {
+    std::vector<RngState> after;
+    for (int variant = 0; variant < 4; ++variant) {
+      SensorConfig c;
+      c.raw_height = h;
+      c.raw_width = w;
+      c.illuminant_variation = 0.0f;
+      c.shot_noise = variant == 1 ? 0.0f : 0.01f * static_cast<float>(variant);
+      c.read_noise = variant == 1 ? 0.0f : 0.005f * static_cast<float>(variant);
+      c.exposure_gain = variant == 3 ? 8.0f : 1.0f;  // saturates everything
+      const Image scene = variant == 0 ? gray_scene(64, 0.0f)
+                                       : random_scene(64, 7 + variant);
+      Rng rng(99);
+      (void)SensorModel(c).capture(scene, rng);
+      after.push_back(rng.save_state());
+    }
+    Rng expect(99);
+    for (std::size_t i = 0; i < h * w; ++i) (void)expect.next_u64();
+    const RngState want = expect.save_state();
+    for (const RngState& got : after) {
+      EXPECT_TRUE(std::equal(std::begin(got.s), std::end(got.s), want.s))
+          << h << "x" << w;
+      EXPECT_FALSE(got.has_cached_normal);
+    }
+
+    // With the illuminant on, the two tint normals come first; the end
+    // state still does not depend on the scene or the noise levels.
+    SensorConfig lit;
+    lit.raw_height = h;
+    lit.raw_width = w;
+    SensorConfig lit_quiet = lit;
+    lit_quiet.shot_noise = 0.0f;
+    lit_quiet.read_noise = 0.0f;
+    Rng a(5), b(5);
+    (void)SensorModel(lit).capture(random_scene(64, 1), a);
+    (void)SensorModel(lit_quiet).capture(gray_scene(64, 0.9f), b);
+    const RngState sa = a.save_state(), sb = b.save_state();
+    EXPECT_TRUE(std::equal(std::begin(sa.s), std::end(sa.s), sb.s));
+  }
 }
 
 // --------------------------------------------------------------- demosaic

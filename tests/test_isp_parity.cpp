@@ -5,6 +5,7 @@
 // Table-3 stage options and all nine device profiles.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 
 #include "data/builder.h"
@@ -135,6 +136,39 @@ TEST(IspParity, OddRawSizesExerciseBorderPaths) {
           return run_isp(raw, device.isp);
         },
         "raw size " + std::to_string(size));
+  }
+}
+
+TEST(IspParity, FbddLaneBlockEdges) {
+  // The FBDD interior runs same-phase pixels in blocks of 16 lanes. Widths
+  // 6-10 leave fewer interior pixels per row phase than one block; 70 and
+  // 130 end one pixel past, and one short of, a block boundary. Constant
+  // and two-level mosaics make every comparator exchange a tie.
+  const BayerPattern patterns[] = {BayerPattern::kRGGB, BayerPattern::kBGGR,
+                                   BayerPattern::kGRBG, BayerPattern::kGBRG};
+  for (BayerPattern pattern : patterns) {
+    for (std::size_t w : {6u, 8u, 10u, 70u, 130u}) {
+      for (std::size_t h : {6u, 12u}) {
+        for (int fill = 0; fill < 3; ++fill) {
+          RawImage raw(h, w, pattern);
+          Rng values(w * 100 + h * 10 + static_cast<std::size_t>(fill));
+          for (std::size_t y = 0; y < h; ++y) {
+            for (std::size_t x = 0; x < w; ++x) {
+              const double u = values.uniform();
+              raw.at(y, x) = fill == 0   ? 0.5f
+                             : fill == 1 ? (u < 0.5 ? 0.25f : 0.75f)
+                                         : static_cast<float>(
+                                               std::round(u * 1023.0) / 1023.0);
+            }
+          }
+          expect_path_parity(
+              [&](Rng&) { return denoise(raw, DenoiseAlgo::kFBDD); },
+              "fbdd pattern " + std::to_string(static_cast<int>(pattern)) +
+                  " " + std::to_string(h) + "x" + std::to_string(w) +
+                  " fill " + std::to_string(fill));
+        }
+      }
+    }
   }
 }
 

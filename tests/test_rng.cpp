@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -13,6 +14,14 @@ TEST(Rng, DeterministicForSameSeed) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(a.next_u64(), b.next_u64());
   }
+}
+
+TEST(Rng, FillMatchesNextU64) {
+  Rng a(77), b(77);
+  std::vector<std::uint64_t> bulk(1000);
+  a.fill_u64(bulk.data(), bulk.size());
+  for (std::uint64_t v : bulk) EXPECT_EQ(v, b.next_u64());
+  EXPECT_EQ(a.next_u64(), b.next_u64());  // both streams continue in step
 }
 
 TEST(Rng, DifferentSeedsDiverge) {

@@ -18,7 +18,12 @@
 # tests put the HS_ISP=fast rewrites under the same watch: their pointer
 # arithmetic over raw scratch arenas (geometry-keyed, grow-only) and the
 # SoA block transposes with clamped-edge fallbacks are exactly the kind of
-# code where an off-by-one survives functional tests.
+# code where an off-by-one survives functional tests. That includes the
+# FBDD lane blocks, which read up to a block past a row's last pixel of a
+# phase from a zero-padded deinterleaved store. The isp and image suites
+# cover the sensor's raw-pointer exposure rows over per-thread draw and
+# sample buffers, and the row-major Gaussian blur's tap-row pointers on
+# images narrower than the kernel.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -28,13 +33,13 @@ BUILD_DIR=${BUILD_DIR:-build-asan}
 cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DHETERO_SANITIZE=address,undefined
-cmake --build "${BUILD_DIR}" -j "$(nproc)" --target test_net test_serialize test_tensor test_population test_isp_parity
+cmake --build "${BUILD_DIR}" -j "$(nproc)" --target test_net test_serialize test_tensor test_population test_isp_parity test_isp test_image
 
 # halt_on_error fails the run on the first report; detect_leaks catches
 # frames or datasets dropped on the quarantine paths.
 ASAN_OPTIONS=${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1} \
 UBSAN_OPTIONS=${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1} \
-  ctest --test-dir "${BUILD_DIR}" -R '^(test_net|test_serialize|test_tensor|test_population|test_isp_parity)$' \
+  ctest --test-dir "${BUILD_DIR}" -R '^(test_net|test_serialize|test_tensor|test_population|test_isp_parity|test_isp|test_image)$' \
   --output-on-failure "$@"
 
 echo "ASan/UBSan check passed."
