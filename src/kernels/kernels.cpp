@@ -1,7 +1,5 @@
-// Kernel dispatch (HS_KERNEL) and the plane reductions shared by
-// BatchNorm2d and the SE block. The reductions keep the seed accumulation
-// order and precision exactly (f64, increasing index), so routing the
-// layers through them changes no results.
+// Kernel dispatch (HS_KERNEL, HS_EVAL, HS_EVAL_CACHE), the int8 weight
+// generation, and the thread-local intra-op and eval-scope state.
 #include "kernels/kernels.h"
 
 #include <atomic>
@@ -141,58 +139,5 @@ ScopedIntraOp::ScopedIntraOp(
 }
 
 ScopedIntraOp::~ScopedIntraOp() { t_intra_op = std::move(saved_); }
-
-void plane_moments(const float* p, std::size_t count, double& sum,
-                   double& sumsq) {
-  double s = sum, sq = sumsq;
-  for (std::size_t i = 0; i < count; ++i) {
-    s += p[i];
-    sq += static_cast<double>(p[i]) * p[i];
-  }
-  sum = s;
-  sumsq = sq;
-}
-
-void bn_normalize_plane(const float* src, float* dst, float* xhat,
-                        std::size_t count, float mean, float inv, float g,
-                        float b) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const float xh = (src[i] - mean) * inv;
-    if (xhat) xhat[i] = xh;
-    dst[i] = g * xh + b;
-  }
-}
-
-void bn_reduce_plane(const float* dy, const float* xh, std::size_t count,
-                     double& sum_dy, double& sum_dy_xhat) {
-  double s = sum_dy, sx = sum_dy_xhat;
-  for (std::size_t i = 0; i < count; ++i) {
-    s += dy[i];
-    sx += static_cast<double>(dy[i]) * xh[i];
-  }
-  sum_dy = s;
-  sum_dy_xhat = sx;
-}
-
-void bn_apply_plane(const float* dy, const float* xh, float* dx,
-                    std::size_t count, float g_inv, float k1, float k2) {
-  for (std::size_t i = 0; i < count; ++i) {
-    dx[i] = g_inv * (dy[i] - k1 - xh[i] * k2);
-  }
-}
-
-void scale_plane(float* plane, std::size_t count, float s) {
-  for (std::size_t i = 0; i < count; ++i) plane[i] *= s;
-}
-
-double se_backward_plane(const float* dy, const float* x, float* dx,
-                         std::size_t count, float g) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < count; ++i) {
-    acc += static_cast<double>(dy[i]) * x[i];
-    dx[i] = dy[i] * g;
-  }
-  return acc;
-}
 
 }  // namespace hetero::kernels

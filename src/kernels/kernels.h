@@ -237,36 +237,52 @@ void conv2d_backward(KernelKind kind, const ConvShape& s,
                      const float* grad_out, const float* w, const float* cols,
                      float* gw, float* gb, float* grad_in, Workspace& ws);
 
-// ----------------------------------------------- Row/plane reductions ----
-// Shared by BatchNorm2d and the SE block: contiguous-plane reductions and
-// affine maps with pinned accumulation order (f64, increasing index), so
-// moving them here changes no results.
+// ---------------------------------------------------------- Layer glue ----
+// The BatchNorm2d, squeeze-excitation, global-average-pool and hard-swish
+// passes between the GEMMs (glue.cpp). Every reduction is one f64 chain per
+// channel (or plane) in the seed's (sample, index) order; SIMD lanes run
+// independent chains side by side and never split one, and the elementwise
+// maps are the seed expressions, so every kernel kind gets the seed's bits
+// (DESIGN.md §9). All tensors are contiguous (n, c, hw) or (planes, hw).
 
-/// sum += Σ p[i]; sumsq += Σ p[i]².
-void plane_moments(const float* p, std::size_t count, double& sum,
-                   double& sumsq);
+/// Per-channel sums of (n, c, hw) tensors, each one f64 chain over
+/// (sample, index) ascending: sum_a[ch] = Σ a and sum_ab[ch] = Σ a·b, the
+/// product formed in f64. b may equal a (the BatchNorm moments, which then
+/// load once). With n = 1 every "channel" is an independent plane (pooling,
+/// the SE gate gradient).
+void channel_sums(const float* a, const float* b, std::size_t n,
+                  std::size_t c, std::size_t hw, double* sum_a,
+                  double* sum_ab);
 
-/// dst[i] = g * (src[i] - mean) * inv + b; optionally records the
-/// normalized value in xhat (pass nullptr to skip).
-void bn_normalize_plane(const float* src, float* dst, float* xhat,
-                        std::size_t count, float mean, float inv, float g,
-                        float b);
+/// BatchNorm affine map: xh = (x - mean[ch]) * inv[ch] and
+/// y = gamma[ch] * xh + beta[ch]; xh is stored into xhat unless it is null.
+void bn_normalize(const float* x, float* y, float* xhat, std::size_t n,
+                  std::size_t c, std::size_t hw, const float* mean,
+                  const float* inv, const float* gamma, const float* beta);
 
-/// sum_dy += Σ dy[i]; sum_dy_xhat += Σ dy[i]·xh[i].
-void bn_reduce_plane(const float* dy, const float* xh, std::size_t count,
-                     double& sum_dy, double& sum_dy_xhat);
+/// BatchNorm input gradient: dx = g_inv[ch] * (dy - k1[ch] - xhat * k2[ch]).
+void bn_input_grad(const float* dy, const float* xhat, float* dx,
+                   std::size_t n, std::size_t c, std::size_t hw,
+                   const float* g_inv, const float* k1, const float* k2);
 
-/// dx[i] = g_inv * (dy[i] - k1 - xh[i] * k2).
-void bn_apply_plane(const float* dy, const float* xh, float* dx,
-                    std::size_t count, float g_inv, float k1, float k2);
+/// SE gate: y[p, i] = x[p, i] * s[p].
+void scale_planes(const float* x, const float* s, float* y,
+                  std::size_t planes, std::size_t hw);
 
-/// plane[i] *= s.
-void scale_plane(float* plane, std::size_t count, float s);
+/// SE input gradient: dx[p, i] = dy[p, i] * gate[p] + pooled[p], the gate
+/// path plus the pooled-feature path's broadcast gradient.
+void se_input_grad(const float* dy, const float* gate, const float* pooled,
+                   float* dx, std::size_t planes, std::size_t hw);
 
-/// Fused SE-gate backward on one plane: dx[i] = dy[i] * g and returns
-/// Σ dy[i]·x[i] in f64.
-double se_backward_plane(const float* dy, const float* x, float* dx,
-                         std::size_t count, float g);
+/// Hard-sigmoid h(x) = clamp(x/6 + 1/2, 0, 1), h'(x) = 1/6 on (-3, 3) and 0
+/// elsewhere, and hard-swish x·h(x). The backward passes form
+/// dx = dy * h'(x) and dx = dy * (h(x) + x·h'(x)).
+void hsigmoid_forward(const float* x, float* y, std::size_t count);
+void hsigmoid_backward(const float* x, const float* dy, float* dx,
+                       std::size_t count);
+void hswish_forward(const float* x, float* y, std::size_t count);
+void hswish_backward(const float* x, const float* dy, float* dx,
+                     std::size_t count);
 
 // ------------------------------------------- int8 dynamic-quantized eval ----
 // Forward-only inference kernels for HS_EVAL=int8: symmetric per-row

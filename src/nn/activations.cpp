@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "kernels/kernels.h"
+
 namespace hetero {
 
 Tensor ReLU::forward(const Tensor& x, bool train) {
@@ -44,20 +46,10 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   return g;
 }
 
-float HSigmoid::f(float x) {
-  return std::clamp(x / 6.0f + 0.5f, 0.0f, 1.0f);
-}
-
-float HSigmoid::df(float x) {
-  return (x > -3.0f && x < 3.0f) ? 1.0f / 6.0f : 0.0f;
-}
-
 Tensor HSigmoid::forward(const Tensor& x, bool train) {
   if (train) cached_x_ = x;
   Tensor y = Tensor::uninit(x.shape());
-  const float* xp = x.data();
-  float* yp = y.data();
-  for (std::size_t i = 0; i < x.size(); ++i) yp[i] = f(xp[i]);
+  kernels::hsigmoid_forward(x.data(), y.data(), x.size());
   return y;
 }
 
@@ -65,29 +57,26 @@ Tensor HSigmoid::backward(const Tensor& grad_out) {
   HS_CHECK(!cached_x_.empty(), "HSigmoid::backward: no cached forward");
   HS_CHECK(grad_out.same_shape(cached_x_),
            "HSigmoid::backward: shape mismatch");
-  Tensor g = grad_out;
-  for (std::size_t i = 0; i < g.size(); ++i) g[i] *= df(cached_x_[i]);
+  Tensor g = Tensor::uninit(grad_out.shape());
+  kernels::hsigmoid_backward(cached_x_.data(), grad_out.data(), g.data(),
+                             g.size());
   return g;
 }
 
 Tensor HSwish::forward(const Tensor& x, bool train) {
   if (train) cached_x_ = x;
   Tensor y = Tensor::uninit(x.shape());
-  const float* xp = x.data();
-  float* yp = y.data();
-  for (std::size_t i = 0; i < x.size(); ++i) yp[i] = xp[i] * HSigmoid::f(xp[i]);
+  kernels::hswish_forward(x.data(), y.data(), x.size());
   return y;
 }
 
 Tensor HSwish::backward(const Tensor& grad_out) {
   HS_CHECK(!cached_x_.empty(), "HSwish::backward: no cached forward");
   HS_CHECK(grad_out.same_shape(cached_x_), "HSwish::backward: shape mismatch");
-  Tensor g = grad_out;
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    const float x = cached_x_[i];
-    // d/dx [x * hsig(x)] = hsig(x) + x * hsig'(x).
-    g[i] *= HSigmoid::f(x) + x * HSigmoid::df(x);
-  }
+  // d/dx [x * hsig(x)] = hsig(x) + x * hsig'(x).
+  Tensor g = Tensor::uninit(grad_out.shape());
+  kernels::hswish_backward(cached_x_.data(), grad_out.data(), g.data(),
+                           g.size());
   return g;
 }
 

@@ -35,10 +35,6 @@ class HSigmoid : public Layer {
   }
   std::string name() const override { return "HSigmoid"; }
 
-  /// Scalar version, shared with SEBlock.
-  static float f(float x);
-  static float df(float x);
-
  private:
   Tensor cached_x_;
 };

@@ -1,6 +1,8 @@
 #include "nn/batchnorm.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "kernels/kernels.h"
 
@@ -27,41 +29,39 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   const double count = static_cast<double>(n * hw);
   HS_CHECK(count > 0, "BatchNorm2d: empty batch");
 
-  Tensor y({n, c_, h, w});
+  // Every element of y (and of the xhat cache) is written below, so neither
+  // is zero-filled, and the cache keeps its storage across forwards.
+  Tensor y = Tensor::uninit({n, c_, h, w});
+  std::vector<float> mean(c_), inv(c_);
   if (train) {
-    cached_xhat_ = Tensor({n, c_, h, w});
-    inv_std_.assign(c_, 0.0f);
+    if (cached_xhat_.shape() != y.shape()) {
+      cached_xhat_ = Tensor::uninit(y.shape());
+    }
     cached_n_ = n;
     cached_h_ = h;
     cached_w_ = w;
-  }
-
-  for (std::size_t c = 0; c < c_; ++c) {
-    float mean_c, var_c;
-    if (train) {
-      double sum = 0.0, sq = 0.0;
-      for (std::size_t s = 0; s < n; ++s) {
-        kernels::plane_moments(x.data() + ((s * c_) + c) * hw, hw, sum, sq);
-      }
-      mean_c = static_cast<float>(sum / count);
-      var_c = static_cast<float>(std::max(0.0, sq / count - sum / count * sum / count));
+    std::vector<double> sum(c_), sq(c_);
+    kernels::channel_sums(x.data(), x.data(), n, c_, hw, sum.data(),
+                          sq.data());
+    for (std::size_t c = 0; c < c_; ++c) {
+      const float mean_c = static_cast<float>(sum[c] / count);
+      const float var_c = static_cast<float>(
+          std::max(0.0, sq[c] / count - sum[c] / count * sum[c] / count));
       run_mean_[c] = (1 - momentum_) * run_mean_[c] + momentum_ * mean_c;
       run_var_[c] = (1 - momentum_) * run_var_[c] + momentum_ * var_c;
-    } else {
-      mean_c = run_mean_[c];
-      var_c = run_var_[c];
+      mean[c] = mean_c;
+      inv[c] = 1.0f / std::sqrt(var_c + eps_);
     }
-    const float inv = 1.0f / std::sqrt(var_c + eps_);
-    if (train) inv_std_[c] = inv;
-    const float g = gamma_[c], b = beta_[c];
-    for (std::size_t s = 0; s < n; ++s) {
-      const std::size_t plane = ((s * c_) + c) * hw;
-      kernels::bn_normalize_plane(
-          x.data() + plane, y.data() + plane,
-          train ? cached_xhat_.data() + plane : nullptr, hw, mean_c, inv, g,
-          b);
+    inv_std_ = inv;
+  } else {
+    for (std::size_t c = 0; c < c_; ++c) {
+      mean[c] = run_mean_[c];
+      inv[c] = 1.0f / std::sqrt(run_var_[c] + eps_);
     }
   }
+  kernels::bn_normalize(x.data(), y.data(),
+                        train ? cached_xhat_.data() : nullptr, n, c_, hw,
+                        mean.data(), inv.data(), gamma_.data(), beta_.data());
   return y;
 }
 
@@ -75,31 +75,24 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   const std::size_t hw = h * w;
   const double m = static_cast<double>(n * hw);
 
-  Tensor grad_in({n, c_, h, w});
+  // Standard batch-norm backward: reduce dL/dgamma, dL/dbeta, then the
+  // coupled input gradient.
+  std::vector<double> sum_dy(c_), sum_dy_xhat(c_);
+  kernels::channel_sums(grad_out.data(), cached_xhat_.data(), n, c_, hw,
+                        sum_dy.data(), sum_dy_xhat.data());
+  std::vector<float> g_inv(c_), k1(c_), k2(c_);
   for (std::size_t c = 0; c < c_; ++c) {
-    // Standard batch-norm backward: reduce dL/dgamma, dL/dbeta, then the
-    // coupled input gradient.
-    double sum_dy = 0.0, sum_dy_xhat = 0.0;
-    for (std::size_t s = 0; s < n; ++s) {
-      const std::size_t plane = ((s * c_) + c) * hw;
-      kernels::bn_reduce_plane(grad_out.data() + plane,
-                               cached_xhat_.data() + plane, hw, sum_dy,
-                               sum_dy_xhat);
-    }
-    ggamma_[c] += static_cast<float>(sum_dy_xhat);
-    gbeta_[c] += static_cast<float>(sum_dy);
+    ggamma_[c] += static_cast<float>(sum_dy_xhat[c]);
+    gbeta_[c] += static_cast<float>(sum_dy[c]);
     // g * inv is folded once; the per-element product order is unchanged
     // (the seed expression evaluates (g * inv) * rest left-to-right).
-    const float g_inv = gamma_[c] * inv_std_[c];
-    const float k1 = static_cast<float>(sum_dy / m);
-    const float k2 = static_cast<float>(sum_dy_xhat / m);
-    for (std::size_t s = 0; s < n; ++s) {
-      const std::size_t plane = ((s * c_) + c) * hw;
-      kernels::bn_apply_plane(grad_out.data() + plane,
-                              cached_xhat_.data() + plane,
-                              grad_in.data() + plane, hw, g_inv, k1, k2);
-    }
+    g_inv[c] = gamma_[c] * inv_std_[c];
+    k1[c] = static_cast<float>(sum_dy[c] / m);
+    k2[c] = static_cast<float>(sum_dy_xhat[c] / m);
   }
+  Tensor grad_in = Tensor::uninit({n, c_, h, w});
+  kernels::bn_input_grad(grad_out.data(), cached_xhat_.data(), grad_in.data(),
+                         n, c_, hw, g_inv.data(), k1.data(), k2.data());
   return grad_in;
 }
 

@@ -1,5 +1,7 @@
 #include "nn/blocks.h"
 
+#include <vector>
+
 #include "kernels/kernels.h"
 #include "util/rng.h"
 
@@ -21,15 +23,9 @@ Tensor SEBlock::forward(const Tensor& x, bool train) {
     cached_x_ = x;
     cached_gate_ = gate;
   }
-  Tensor y = x;
-  const std::size_t n = x.dim(0), hgt = x.dim(2), wid = x.dim(3);
-  const std::size_t hw = hgt * wid;
-  for (std::size_t sm = 0; sm < n; ++sm) {
-    for (std::size_t ch = 0; ch < c_; ++ch) {
-      kernels::scale_plane(y.data() + ((sm * c_) + ch) * hw, hw,
-                           gate.at(sm, ch));
-    }
-  }
+  Tensor y = Tensor::uninit(x.shape());
+  kernels::scale_planes(x.data(), gate.data(), y.data(), x.dim(0) * c_,
+                        x.dim(2) * x.dim(3));
   return y;
 }
 
@@ -39,24 +35,29 @@ Tensor SEBlock::backward(const Tensor& grad_out) {
            "SEBlock::backward: grad shape mismatch");
   const std::size_t n = cached_x_.dim(0), hgt = cached_x_.dim(2),
                     wid = cached_x_.dim(3);
-  const std::size_t hw = hgt * wid;
-  // y = x * gate  =>  dx_direct = dy * gate ; dgate[n,c] = sum_hw dy * x.
-  Tensor grad_x = grad_out;
-  Tensor grad_gate({n, c_});
-  for (std::size_t sm = 0; sm < n; ++sm) {
-    for (std::size_t ch = 0; ch < c_; ++ch) {
-      const std::size_t plane = ((sm * c_) + ch) * hw;
-      grad_gate.at(sm, ch) = static_cast<float>(kernels::se_backward_plane(
-          grad_out.data() + plane, cached_x_.data() + plane,
-          grad_x.data() + plane, hw, cached_gate_.at(sm, ch)));
-    }
+  const std::size_t hw = hgt * wid, planes = n * c_;
+  // y = x * gate  =>  dgate[n,c] = sum_hw dy * x, one f64 chain per plane
+  // (the kernel's Σdy comes along and is unused).
+  std::vector<double> sum_dy(planes), dots(planes);
+  kernels::channel_sums(grad_out.data(), cached_x_.data(), 1, planes, hw,
+                        sum_dy.data(), dots.data());
+  Tensor grad_gate = Tensor::uninit({n, c_});
+  for (std::size_t p = 0; p < planes; ++p) {
+    grad_gate[p] = static_cast<float>(dots[p]);
   }
-  // Back through the excitation MLP into the pooled features, then into x.
+  // Back through the excitation MLP into the pooled features.
   Tensor g = hsig_.backward(grad_gate);
   g = fc2_.backward(g);
   g = relu_.backward(g);
   g = fc1_.backward(g);
-  grad_x += gap_.backward(g);
+  // dx = dy * gate (the direct path) + the pooling backward's per-plane
+  // broadcast g * (1/hw), in one pass over the planes.
+  const float scale = 1.0f / static_cast<float>(hw);
+  std::vector<float> pooled(planes);
+  for (std::size_t p = 0; p < planes; ++p) pooled[p] = g[p] * scale;
+  Tensor grad_x = Tensor::uninit(cached_x_.shape());
+  kernels::se_input_grad(grad_out.data(), cached_gate_.data(), pooled.data(),
+                         grad_x.data(), planes, hw);
   return grad_x;
 }
 

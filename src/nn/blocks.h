@@ -82,6 +82,11 @@ class InvertedResidual : public Layer {
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "InvertedResidual"; }
 
+  /// The expand/depthwise/SE/project chain and whether the input is added
+  /// back: what forward() runs, exposed for layer-by-layer profiling.
+  Sequential& body() { return body_; }
+  bool has_skip() const { return use_res_; }
+
  private:
   bool use_res_;
   Sequential body_;

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "kernels/isa.h"
+#include "kernels/kernels.h"
 
 namespace hetero {
 namespace {
@@ -345,15 +347,14 @@ Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
   HS_CHECK(x.rank() == 4, "GlobalAvgPool: input must be (N,C,H,W)");
   const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   if (train) in_shape_ = {n, c, h, w};
+  // One f64 chain per (sample, channel) plane, planes side by side in lanes.
+  std::vector<double> sums(n * c), sumsq(n * c);
+  kernels::channel_sums(x.data(), x.data(), 1, n * c, h * w, sums.data(),
+                        sumsq.data());
   Tensor y = Tensor::uninit({n, c});  // every (sample, channel) mean stored
   const float scale = 1.0f / static_cast<float>(h * w);
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const float* plane = x.data() + ((s * c) + ch) * h * w;
-      double acc = 0.0;
-      for (std::size_t i = 0; i < h * w; ++i) acc += plane[i];
-      y.at(s, ch) = static_cast<float>(acc) * scale;
-    }
+  for (std::size_t p = 0; p < n * c; ++p) {
+    y[p] = static_cast<float>(sums[p]) * scale;
   }
   return y;
 }

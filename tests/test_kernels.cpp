@@ -10,11 +10,16 @@
 //   * Training is bit-identical across thread counts for a fixed kind.
 //   * The tiled conv/linear hot paths perform zero heap allocations in
 //     steady state (global operator new hook + Workspace::grow_count()).
+//   * The layer-glue kernels (channel-lane sums, BatchNorm affine map)
+//     reproduce the seed's scalar chains bit for bit, on exactly-sized
+//     buffers so a sanitizer build catches any read past a plane's tail.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <string>
 #include <new>
 #include <vector>
 
@@ -25,6 +30,7 @@
 #include "nn/linear.h"
 #include "nn/model_zoo.h"
 #include "tensor/tensor_ops.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 // ------------------------------------------------- allocation counting ----
@@ -478,6 +484,103 @@ TEST(ZeroAlloc, LayerWorkspacesStopGrowingAfterWarmup) {
   step();
   step();
   EXPECT_EQ(kernels::Workspace::grow_count(), grows);
+}
+
+// ------------------------------------------------------------ layer glue --
+
+bool same_doubles(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(LayerGlue, ChannelSumsMatchSeedChains) {
+  Rng rng(70);
+  for (std::size_t n : {1u, 10u}) {
+    for (std::size_t c : {1u, 3u, 7u, 8u, 9u, 12u, 48u}) {
+      for (std::size_t hw : {1u, 3u, 15u, 16u, 64u, 256u}) {
+        const std::string tag = "n=" + std::to_string(n) +
+                                " c=" + std::to_string(c) +
+                                " hw=" + std::to_string(hw);
+        const Tensor ta = testing::edge_case_tensor({n, c, hw}, rng);
+        const Tensor tb = testing::edge_case_tensor({n, c, hw}, rng);
+        // Exactly-sized copies: nothing past the last plane is addressable.
+        const std::vector<float> a(ta.data(), ta.data() + ta.size());
+        const std::vector<float> b(tb.data(), tb.data() + tb.size());
+        // The seed's chains: one f64 accumulator per channel, (sample,
+        // index) ascending.
+        std::vector<double> want_a(c), want_aa(c), want_ab(c);
+        for (std::size_t ch = 0; ch < c; ++ch) {
+          double sa = 0.0, saa = 0.0, sab = 0.0;
+          for (std::size_t s = 0; s < n; ++s) {
+            const float* pa = a.data() + (s * c + ch) * hw;
+            const float* pb = b.data() + (s * c + ch) * hw;
+            for (std::size_t i = 0; i < hw; ++i) {
+              sa += pa[i];
+              saa += static_cast<double>(pa[i]) * pa[i];
+              sab += static_cast<double>(pa[i]) * pb[i];
+            }
+          }
+          want_a[ch] = sa;
+          want_aa[ch] = saa;
+          want_ab[ch] = sab;
+        }
+        std::vector<double> got_a(c), got_b(c);
+        kernels::channel_sums(a.data(), a.data(), n, c, hw, got_a.data(),
+                              got_b.data());
+        EXPECT_TRUE(same_doubles(got_a, want_a)) << tag;
+        EXPECT_TRUE(same_doubles(got_b, want_aa)) << tag;
+        kernels::channel_sums(a.data(), b.data(), n, c, hw, got_a.data(),
+                              got_b.data());
+        EXPECT_TRUE(same_doubles(got_a, want_a)) << tag;
+        EXPECT_TRUE(same_doubles(got_b, want_ab)) << tag;
+      }
+    }
+  }
+}
+
+TEST(LayerGlue, BnNormalizeStoresSeedOutputAndXhat) {
+  Rng rng(71);
+  for (std::size_t n : {1u, 10u}) {
+    for (std::size_t c : {1u, 7u, 9u, 48u}) {
+      for (std::size_t hw : {1u, 15u, 64u}) {
+        const std::string tag = "n=" + std::to_string(n) +
+                                " c=" + std::to_string(c) +
+                                " hw=" + std::to_string(hw);
+        const Tensor tx = testing::edge_case_tensor({n, c, hw}, rng);
+        const std::vector<float> x(tx.data(), tx.data() + tx.size());
+        std::vector<float> mean(c), inv(c), gamma(c), beta(c);
+        fill_random(mean, rng);
+        fill_random(inv, rng, 0.1f, 3.0f);
+        fill_random(gamma, rng);
+        fill_random(beta, rng);
+        std::vector<float> want_y(x.size()), want_xhat(x.size());
+        for (std::size_t s = 0; s < n; ++s) {
+          for (std::size_t ch = 0; ch < c; ++ch) {
+            for (std::size_t i = 0; i < hw; ++i) {
+              const std::size_t k = (s * c + ch) * hw + i;
+              const float xh = (x[k] - mean[ch]) * inv[ch];
+              want_xhat[k] = xh;
+              want_y[k] = gamma[ch] * xh + beta[ch];
+            }
+          }
+        }
+        std::vector<float> y(x.size()), xhat(x.size());
+        kernels::bn_normalize(x.data(), y.data(), xhat.data(), n, c, hw,
+                              mean.data(), inv.data(), gamma.data(),
+                              beta.data());
+        const std::size_t bytes = x.size() * sizeof(float);
+        EXPECT_EQ(0, std::memcmp(y.data(), want_y.data(), bytes)) << tag;
+        EXPECT_EQ(0, std::memcmp(xhat.data(), want_xhat.data(), bytes))
+            << tag;
+        std::vector<float> y_eval(x.size());
+        kernels::bn_normalize(x.data(), y_eval.data(), nullptr, n, c, hw,
+                              mean.data(), inv.data(), gamma.data(),
+                              beta.data());
+        EXPECT_EQ(0, std::memcmp(y_eval.data(), want_y.data(), bytes))
+            << tag;
+      }
+    }
+  }
 }
 
 }  // namespace

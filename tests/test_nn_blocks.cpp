@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include "nn/blocks.h"
+#include "seed_loops.h"
 #include "test_util.h"
 
 namespace hetero {
 namespace {
 
+using hetero::testing::edge_case_tensor;
+using hetero::testing::for_oracle_shapes;
 using hetero::testing::gradient_check;
+using hetero::testing::same_bits;
 
 constexpr double kGradTol = 6e-2;
 
@@ -38,6 +42,99 @@ TEST(SEBlock, GradCheck) {
   const auto r = gradient_check(se, x, rng);
   EXPECT_LT(r.max_input_error, kGradTol);
   EXPECT_LT(r.max_param_error, kGradTol);
+}
+
+/// SEBlock as the seed wrote it: the same excitation MLP (built from the
+/// same generator, so it holds the same weights), the seed pooling and
+/// hard-sigmoid loops, and its copy-then-scale gate passes.
+struct SeedSEBlock {
+  std::size_t c_;
+  Linear fc1_, fc2_;
+  ReLU relu_;
+  Tensor cached_x_, cached_gate_, cached_fc2_;
+
+  SeedSEBlock(std::size_t channels, std::size_t reduction, Rng& rng)
+      : c_(channels),
+        fc1_(channels, std::max<std::size_t>(1, channels / reduction), rng),
+        fc2_(std::max<std::size_t>(1, channels / reduction), channels, rng) {}
+
+  Tensor forward(const Tensor& x, bool train) {
+    Tensor s = testing::seed_gap_forward(x);
+    Tensor h = relu_.forward(fc1_.forward(s, train), train);
+    Tensor pre = fc2_.forward(h, train);
+    Tensor gate = testing::seed_hsigmoid_forward(pre);
+    if (train) {
+      cached_x_ = x;
+      cached_gate_ = gate;
+      cached_fc2_ = pre;
+    }
+    Tensor y = x;
+    const std::size_t n = x.dim(0), hgt = x.dim(2), wid = x.dim(3);
+    const std::size_t hw = hgt * wid;
+    for (std::size_t sm = 0; sm < n; ++sm) {
+      for (std::size_t ch = 0; ch < c_; ++ch) {
+        float* plane = y.data() + ((sm * c_) + ch) * hw;
+        const float g = gate.at(sm, ch);
+        for (std::size_t i = 0; i < hw; ++i) plane[i] *= g;
+      }
+    }
+    return y;
+  }
+
+  Tensor backward(const Tensor& grad_out) {
+    const std::size_t n = cached_x_.dim(0), hgt = cached_x_.dim(2),
+                      wid = cached_x_.dim(3);
+    const std::size_t hw = hgt * wid;
+    Tensor grad_x = grad_out;
+    Tensor grad_gate({n, c_});
+    for (std::size_t sm = 0; sm < n; ++sm) {
+      for (std::size_t ch = 0; ch < c_; ++ch) {
+        const std::size_t plane = ((sm * c_) + ch) * hw;
+        const float* dy = grad_out.data() + plane;
+        const float* x = cached_x_.data() + plane;
+        float* dx = grad_x.data() + plane;
+        const float g = cached_gate_.at(sm, ch);
+        double acc = 0.0;
+        for (std::size_t i = 0; i < hw; ++i) {
+          acc += static_cast<double>(dy[i]) * x[i];
+          dx[i] = dy[i] * g;
+        }
+        grad_gate.at(sm, ch) = static_cast<float>(acc);
+      }
+    }
+    Tensor g = testing::seed_hsigmoid_backward(cached_fc2_, grad_gate);
+    g = fc2_.backward(g);
+    g = relu_.backward(g);
+    g = fc1_.backward(g);
+    grad_x += testing::seed_gap_backward(cached_x_.shape(), g);
+    return grad_x;
+  }
+};
+
+TEST(SEBlock, ForwardAndBackwardMatchSeedLoop) {
+  std::uint64_t seed = 60;
+  for_oracle_shapes([&](std::size_t n, std::size_t c, std::size_t h,
+                        std::size_t w, const std::string& tag) {
+    Rng init_a(seed), init_b(seed), data(seed + 1000);
+    ++seed;
+    SEBlock se(c, 4, init_a);
+    SeedSEBlock ref(c, 4, init_b);
+    const Tensor x = edge_case_tensor({n, c, h, w}, data);
+    const Tensor dy = edge_case_tensor({n, c, h, w}, data);
+    EXPECT_TRUE(same_bits(se.forward(x, false), ref.forward(x, false)))
+        << tag;
+    EXPECT_TRUE(same_bits(se.forward(x, true), ref.forward(x, true))) << tag;
+    EXPECT_TRUE(same_bits(se.backward(dy), ref.backward(dy))) << tag;
+    const ParamGroup got = se.param_group();
+    ParamGroup want;
+    ref.fc1_.collect(want);
+    ref.fc2_.collect(want);
+    ASSERT_EQ(got.grads.size(), want.grads.size());
+    for (std::size_t t = 0; t < got.grads.size(); ++t) {
+      EXPECT_TRUE(same_bits(*got.grads[t], *want.grads[t]))
+          << tag << " grad " << t;
+    }
+  });
 }
 
 TEST(Residual, AddsSkip) {

@@ -1,18 +1,30 @@
 // Numerical gradient checks and behaviour tests for the primitive layers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 #include "nn/pooling.h"
 #include "nn/sequential.h"
+#include "seed_loops.h"
 #include "test_util.h"
 
 namespace hetero {
 namespace {
 
+using hetero::testing::edge_case_tensor;
 using hetero::testing::gradient_check;
+using hetero::testing::same_bits;
+using hetero::testing::for_oracle_shapes;
+using hetero::testing::seed_gap_forward;
+using hetero::testing::seed_hsigmoid_backward;
+using hetero::testing::seed_hsigmoid_forward;
+using hetero::testing::seed_hswish_backward;
+using hetero::testing::seed_hswish_forward;
 
 constexpr double kGradTol = 5e-2;  // float32 + central differences
 
@@ -288,6 +300,228 @@ TEST(GlobalAvgPool, ForwardAndGradCheck) {
   Tensor x2 = Tensor::randn({2, 3, 4, 4}, rng);
   const auto r = gradient_check(gap, x2, rng, 1e-3f);
   EXPECT_LT(r.max_input_error, kGradTol);
+}
+
+// ------------------------------------------------------ seed-loop oracles --
+// The BatchNorm2d, hard-sigmoid/-swish and global-average-pool loops as the
+// seed wrote them (its per-plane helpers inlined), kept verbatim as oracles:
+// the layers' channel-lane and branch-free kernels must reproduce every
+// byte, over channel counts off the lane block, single-pixel and odd-sized
+// planes, and inputs with signed zeros, +-3, denormals, huge values and NaN.
+
+/// Seed BatchNorm2d state, with the seed's member names.
+struct SeedBatchNorm {
+  std::size_t c_;
+  float momentum_ = 0.1f, eps_ = 1e-5f;
+  Tensor gamma_, beta_, ggamma_, gbeta_, run_mean_, run_var_;
+  Tensor cached_xhat_;
+  std::vector<float> inv_std_;
+  std::size_t cached_n_ = 0, cached_h_ = 0, cached_w_ = 0;
+
+  Tensor forward(const Tensor& x, bool train) {
+    const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
+    const std::size_t hw = h * w;
+    const double count = static_cast<double>(n * hw);
+    Tensor y({n, c_, h, w});
+    if (train) {
+      cached_xhat_ = Tensor({n, c_, h, w});
+      inv_std_.assign(c_, 0.0f);
+      cached_n_ = n;
+      cached_h_ = h;
+      cached_w_ = w;
+    }
+    for (std::size_t c = 0; c < c_; ++c) {
+      float mean_c, var_c;
+      if (train) {
+        double sum = 0.0, sq = 0.0;
+        for (std::size_t s = 0; s < n; ++s) {
+          const float* p = x.data() + ((s * c_) + c) * hw;
+          for (std::size_t i = 0; i < hw; ++i) {
+            sum += p[i];
+            sq += static_cast<double>(p[i]) * p[i];
+          }
+        }
+        mean_c = static_cast<float>(sum / count);
+        var_c = static_cast<float>(
+            std::max(0.0, sq / count - sum / count * sum / count));
+        run_mean_[c] = (1 - momentum_) * run_mean_[c] + momentum_ * mean_c;
+        run_var_[c] = (1 - momentum_) * run_var_[c] + momentum_ * var_c;
+      } else {
+        mean_c = run_mean_[c];
+        var_c = run_var_[c];
+      }
+      const float inv = 1.0f / std::sqrt(var_c + eps_);
+      if (train) inv_std_[c] = inv;
+      const float g = gamma_[c], b = beta_[c];
+      for (std::size_t s = 0; s < n; ++s) {
+        const std::size_t plane = ((s * c_) + c) * hw;
+        const float* src = x.data() + plane;
+        float* dst = y.data() + plane;
+        float* xhat = train ? cached_xhat_.data() + plane : nullptr;
+        for (std::size_t i = 0; i < hw; ++i) {
+          const float xh = (src[i] - mean_c) * inv;
+          if (xhat) xhat[i] = xh;
+          dst[i] = g * xh + b;
+        }
+      }
+    }
+    return y;
+  }
+
+  Tensor backward(const Tensor& grad_out) {
+    const std::size_t n = cached_n_, h = cached_h_, w = cached_w_;
+    const std::size_t hw = h * w;
+    const double m = static_cast<double>(n * hw);
+    Tensor grad_in({n, c_, h, w});
+    for (std::size_t c = 0; c < c_; ++c) {
+      double sum_dy = 0.0, sum_dy_xhat = 0.0;
+      for (std::size_t s = 0; s < n; ++s) {
+        const std::size_t plane = ((s * c_) + c) * hw;
+        const float* dy = grad_out.data() + plane;
+        const float* xh = cached_xhat_.data() + plane;
+        for (std::size_t i = 0; i < hw; ++i) {
+          sum_dy += dy[i];
+          sum_dy_xhat += static_cast<double>(dy[i]) * xh[i];
+        }
+      }
+      ggamma_[c] += static_cast<float>(sum_dy_xhat);
+      gbeta_[c] += static_cast<float>(sum_dy);
+      const float g_inv = gamma_[c] * inv_std_[c];
+      const float k1 = static_cast<float>(sum_dy / m);
+      const float k2 = static_cast<float>(sum_dy_xhat / m);
+      for (std::size_t s = 0; s < n; ++s) {
+        const std::size_t plane = ((s * c_) + c) * hw;
+        const float* dy = grad_out.data() + plane;
+        const float* xh = cached_xhat_.data() + plane;
+        float* dx = grad_in.data() + plane;
+        for (std::size_t i = 0; i < hw; ++i) {
+          dx[i] = g_inv * (dy[i] - k1 - xh[i] * k2);
+        }
+      }
+    }
+    return grad_in;
+  }
+};
+
+TEST(BatchNorm, TrainForwardAndBackwardMatchSeedLoop) {
+  Rng rng(40);
+  for_oracle_shapes([&](std::size_t n, std::size_t c, std::size_t h,
+                        std::size_t w, const std::string& tag) {
+    BatchNorm2d bn(c);
+    ParamGroup group = bn.param_group();
+    SeedBatchNorm seed;
+    seed.c_ = c;
+    seed.gamma_ = Tensor::randn({c}, rng);
+    seed.beta_ = Tensor::randn({c}, rng);
+    seed.run_mean_ = Tensor::randn({c}, rng);
+    seed.run_var_ = Tensor::rand_uniform({c}, rng, 0.5f, 2.0f);
+    seed.ggamma_ = Tensor::randn({c}, rng);
+    seed.gbeta_ = Tensor::randn({c}, rng);
+    *group.params[0] = seed.gamma_;
+    *group.params[1] = seed.beta_;
+    *group.grads[0] = seed.ggamma_;
+    *group.grads[1] = seed.gbeta_;
+    *group.buffers[0] = seed.run_mean_;
+    *group.buffers[1] = seed.run_var_;
+    // Two steps, so the second forward reuses the first one's caches.
+    for (int step = 0; step < 2; ++step) {
+      const Tensor x = edge_case_tensor({n, c, h, w}, rng);
+      const Tensor dy = edge_case_tensor({n, c, h, w}, rng);
+      EXPECT_TRUE(same_bits(bn.forward(x, true), seed.forward(x, true)))
+          << tag;
+      EXPECT_TRUE(same_bits(bn.running_mean(), seed.run_mean_)) << tag;
+      EXPECT_TRUE(same_bits(bn.running_var(), seed.run_var_)) << tag;
+      EXPECT_TRUE(same_bits(bn.backward(dy), seed.backward(dy))) << tag;
+      EXPECT_TRUE(same_bits(*group.grads[0], seed.ggamma_)) << tag;
+      EXPECT_TRUE(same_bits(*group.grads[1], seed.gbeta_)) << tag;
+    }
+  });
+}
+
+TEST(BatchNorm, EvalForwardMatchesSeedLoop) {
+  Rng rng(41);
+  for_oracle_shapes([&](std::size_t n, std::size_t c, std::size_t h,
+                        std::size_t w, const std::string& tag) {
+    BatchNorm2d bn(c);
+    ParamGroup group = bn.param_group();
+    SeedBatchNorm seed;
+    seed.c_ = c;
+    seed.gamma_ = Tensor::randn({c}, rng);
+    seed.beta_ = Tensor::randn({c}, rng);
+    seed.run_mean_ = Tensor::randn({c}, rng);
+    seed.run_var_ = Tensor::rand_uniform({c}, rng, 0.0f, 2.0f);
+    *group.params[0] = seed.gamma_;
+    *group.params[1] = seed.beta_;
+    *group.buffers[0] = seed.run_mean_;
+    *group.buffers[1] = seed.run_var_;
+    const Tensor x = edge_case_tensor({n, c, h, w}, rng);
+    EXPECT_TRUE(same_bits(bn.forward(x, false), seed.forward(x, false)))
+        << tag;
+  });
+}
+
+TEST(Activations, HardSigmoidAndSwishMatchSeedLoop) {
+  Rng rng(42);
+  for_oracle_shapes([&](std::size_t n, std::size_t c, std::size_t h,
+                        std::size_t w, const std::string& tag) {
+    const Tensor x = edge_case_tensor({n, c, h, w}, rng);
+    const Tensor dy = edge_case_tensor({n, c, h, w}, rng);
+    HSigmoid hsig;
+    EXPECT_TRUE(same_bits(hsig.forward(x, false), seed_hsigmoid_forward(x)))
+        << tag;
+    EXPECT_TRUE(same_bits(hsig.forward(x, true), seed_hsigmoid_forward(x)))
+        << tag;
+    EXPECT_TRUE(same_bits(hsig.backward(dy), seed_hsigmoid_backward(x, dy)))
+        << tag;
+    HSwish hswish;
+    EXPECT_TRUE(same_bits(hswish.forward(x, false), seed_hswish_forward(x)))
+        << tag;
+    EXPECT_TRUE(same_bits(hswish.forward(x, true), seed_hswish_forward(x)))
+        << tag;
+    EXPECT_TRUE(same_bits(hswish.backward(dy), seed_hswish_backward(x, dy)))
+        << tag;
+  });
+}
+
+TEST(Activations, HardSigmoidAndSwishCoverEverySpecialValue) {
+  // Every special value in every lane position of a vector block and its
+  // scalar tail, against both the seed forward and backward.
+  const float specials[] = {-0.0f,
+                            0.0f,
+                            3.0f,
+                            -3.0f,
+                            std::nextafter(3.0f, 0.0f),
+                            std::nextafter(-3.0f, 0.0f),
+                            1e-40f,
+                            -1e-40f,
+                            1e30f,
+                            -1e30f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN()};
+  const std::size_t count = sizeof(specials) / sizeof(specials[0]);
+  Tensor x({count, 19});
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = specials[i % count];
+  const Tensor dy = Tensor::full(x.shape(), 0.75f);
+  HSigmoid hsig;
+  EXPECT_TRUE(same_bits(hsig.forward(x, true), seed_hsigmoid_forward(x)));
+  EXPECT_TRUE(same_bits(hsig.backward(dy), seed_hsigmoid_backward(x, dy)));
+  HSwish hswish;
+  EXPECT_TRUE(same_bits(hswish.forward(x, true), seed_hswish_forward(x)));
+  EXPECT_TRUE(same_bits(hswish.backward(dy), seed_hswish_backward(x, dy)));
+}
+
+TEST(GlobalAvgPool, ForwardMatchesSeedLoop) {
+  Rng rng(43);
+  for_oracle_shapes([&](std::size_t n, std::size_t c, std::size_t h,
+                        std::size_t w, const std::string& tag) {
+    const Tensor x = edge_case_tensor({n, c, h, w}, rng);
+    GlobalAvgPool gap;
+    EXPECT_TRUE(same_bits(gap.forward(x, false), seed_gap_forward(x)))
+        << tag;
+    EXPECT_TRUE(same_bits(gap.forward(x, true), seed_gap_forward(x))) << tag;
+  });
 }
 
 TEST(Flatten, RoundTrip) {

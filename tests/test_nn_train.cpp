@@ -2,11 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/model_zoo.h"
 #include "nn/optimizer.h"
+#include "kernels/kernels.h"
+#include "util/codec.h"
 #include "test_util.h"
 
 namespace hetero {
@@ -261,6 +265,79 @@ TEST(ModelZoo, MobileMiniLearnsToyProblem) {
     opt.step_and_zero();
   }
   EXPECT_LT(last, first * 0.5f);
+}
+
+// ------------------------------------------------- whole-model digests --
+// Three B=10 momentum-SGD steps of mobile-mini and shuffle-mini on fixed
+// inputs, then one eval forward. The CRC-32 of the parameters, the last
+// step's gradients, the BN running statistics and the eval logits is
+// pinned per kernel kind, so a rewrite of any layer (GEMM, convolution,
+// BatchNorm, activations, SE, pooling) that moves a single bit anywhere
+// in training or inference fails here.
+
+std::uint32_t crc_of(const Tensor& t, std::uint32_t seed) {
+  return crc32(reinterpret_cast<const std::uint8_t*>(t.data()),
+               t.size() * sizeof(float), seed);
+}
+
+std::uint32_t train_digest(const std::string& arch,
+                           kernels::KernelKind kind) {
+  const kernels::KernelKind saved = kernels::active_kernel();
+  kernels::set_active_kernel(kind);
+  Rng rng(2024);
+  ModelSpec spec;
+  spec.arch = arch;
+  auto model = make_model(spec, rng);
+  const Tensor x = Tensor::randn({10, 3, 32, 32}, rng);
+  std::vector<std::size_t> labels(10);
+  for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = (i * 5) % 12;
+  SoftmaxCrossEntropy ce;
+  Sgd opt(model->net(), SgdOptions{0.05f, 0.9f, 1e-4f});
+  for (int step = 0; step < 3; ++step) {
+    model->zero_grad();
+    const auto l = ce(model->forward(x, true), labels);
+    model->backward(l.grad);
+    opt.step();
+  }
+  std::uint32_t crc = crc_of(model->state(), 0);  // params, then BN buffers
+  crc = crc_of(model->grads(), crc);
+  crc = crc_of(model->forward(x, false), crc);
+  kernels::set_active_kernel(saved);
+  return crc;
+}
+
+/// The fast kind's bits depend on which clone runs (FMA contraction only
+/// happens in the x86-64-v3 one, and sanitizer builds compile clones out),
+/// so its digest is pinned only where that clone is the one selected.
+bool fast_clone_selected() {
+#if defined(__x86_64__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+  return __builtin_cpu_supports("x86-64-v3");
+#else
+  return false;
+#endif
+}
+
+TEST(ModelDigest, MobileMiniTrainingIsPinned) {
+  EXPECT_EQ(train_digest("mobile-mini", kernels::KernelKind::kTiled),
+            0x412D87CBu);
+  EXPECT_EQ(train_digest("mobile-mini", kernels::KernelKind::kReference),
+            0x30990868u);
+  if (fast_clone_selected()) {
+    EXPECT_EQ(train_digest("mobile-mini", kernels::KernelKind::kFast),
+              0x35711BC4u);
+  }
+}
+
+TEST(ModelDigest, ShuffleMiniTrainingIsPinned) {
+  EXPECT_EQ(train_digest("shuffle-mini", kernels::KernelKind::kTiled),
+            0x11448F92u);
+  EXPECT_EQ(train_digest("shuffle-mini", kernels::KernelKind::kReference),
+            0xEA914248u);
+  if (fast_clone_selected()) {
+    EXPECT_EQ(train_digest("shuffle-mini", kernels::KernelKind::kFast),
+              0x6B425CB3u);
+  }
 }
 
 }  // namespace

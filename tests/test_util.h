@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "nn/layer.h"
 #include "tensor/tensor.h"
@@ -101,6 +103,36 @@ inline GradCheckResult gradient_check(Layer& layer, Tensor x, Rng& rng,
     }
   }
   return result;
+}
+
+/// True when two tensors hold the same shape and the same bytes — NaN
+/// payloads, signed zeros and denormals included.
+inline bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Activations for the seed-loop oracles: Gaussian values with the edge
+/// cases mixed in — signed zeros, exactly +-3 (the hard-swish kinks),
+/// denormals, rare large magnitudes, and one NaN per tensor (so it poisons
+/// a single BatchNorm channel or SE plane, not all of them).
+inline Tensor edge_case_tensor(std::vector<std::size_t> shape, Rng& rng) {
+  Tensor t = Tensor::randn(std::move(shape), rng, 2.0f);
+  const float kinks[] = {-0.0f, 0.0f, 3.0f, -3.0f};
+  const float denormals[] = {1e-40f, -2e-39f};
+  const float large[] = {1e30f, -3e29f};
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const double u = rng.uniform();
+    if (u < 0.0005) {
+      t[i] = large[rng.uniform_int(2)];
+    } else if (u < 0.02) {
+      t[i] = denormals[rng.uniform_int(2)];
+    } else if (u < 0.10) {
+      t[i] = kinks[rng.uniform_int(4)];
+    }
+  }
+  t[rng.uniform_int(t.size())] = std::numeric_limits<float>::quiet_NaN();
+  return t;
 }
 
 }  // namespace hetero::testing

@@ -23,7 +23,13 @@
 # phase from a zero-padded deinterleaved store. The isp and image suites
 # cover the sensor's raw-pointer exposure rows over per-thread draw and
 # sample buffers, and the row-major Gaussian blur's tap-row pointers on
-# images narrower than the kernel.
+# images narrower than the kernel. The kernels, nn-layers and nn-blocks
+# suites drive the GEMM/convolution kernels and the layer-glue kernels:
+# the channel-lane BatchNorm/SE/pooling sums read eight strided planes at
+# once with index tails and spare lanes, over exactly-sized buffers and
+# channel counts off the lane block. Sanitizer builds compile the
+# target_clones dispatch out, so the baseline-ISA body of those same
+# vector kernels is what runs here.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -33,13 +39,13 @@ BUILD_DIR=${BUILD_DIR:-build-asan}
 cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DHETERO_SANITIZE=address,undefined
-cmake --build "${BUILD_DIR}" -j "$(nproc)" --target test_net test_serialize test_tensor test_population test_isp_parity test_isp test_image
+cmake --build "${BUILD_DIR}" -j "$(nproc)" --target test_net test_serialize test_tensor test_population test_isp_parity test_isp test_image test_kernels test_nn_layers test_nn_blocks
 
 # halt_on_error fails the run on the first report; detect_leaks catches
 # frames or datasets dropped on the quarantine paths.
 ASAN_OPTIONS=${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1} \
 UBSAN_OPTIONS=${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1} \
-  ctest --test-dir "${BUILD_DIR}" -R '^(test_net|test_serialize|test_tensor|test_population|test_isp_parity|test_isp|test_image)$' \
+  ctest --test-dir "${BUILD_DIR}" -R '^(test_net|test_serialize|test_tensor|test_population|test_isp_parity|test_isp|test_image|test_kernels|test_nn_layers|test_nn_blocks)$' \
   --output-on-failure "$@"
 
 echo "ASan/UBSan check passed."
