@@ -1,14 +1,16 @@
 // End-to-end round-throughput bench: full HeteroSwitch federated rounds on
-// a synthetic squeeze-mini population, once per kernel mode —
-//   reference, tiled, fast (HS_KERNEL), and fast + int8 eval (HS_EVAL) —
-// reporting clients/s and rounds/s per mode. Also re-runs the tiled mode
-// with a larger thread count than selected clients (the executor's
-// intra-op lone-straggler/spare-worker grant) and checks the loss history
-// is bit-identical to the serial run, per the §13 determinism contract.
+// a synthetic squeeze-mini population, once per kernel mode (HS_KERNEL's
+// reference, tiled and fast), reporting clients/s and rounds/s per mode.
+// Also re-runs the tiled mode with a larger thread count than selected
+// clients (the executor's intra-op lone-straggler/spare-worker grant) and
+// checks the loss history is bit-identical to the serial run, per the §13
+// determinism contract.
 //
-// Writes BENCH_round_e2e.json fresh (one JSONL record per mode) and exits
-// nonzero if fast fails to reach 1.3x tiled round throughput or the
-// intra-op determinism check fails, so CI can gate on it directly.
+// Writes BENCH_round_e2e.json fresh (one JSONL record per mode, each
+// stamped with the scale and image size it ran at, so tools/check_bench.sh
+// can refuse to compare runs of different shapes) and exits nonzero if
+// fast fails to reach 1.3x tiled round throughput or the intra-op
+// determinism check fails, so CI can gate on it directly.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -52,8 +54,7 @@ struct ModeResult {
 
 int main() {
   const Scale scale;
-  print_header("micro", "round e2e: reference vs tiled vs fast (+int8 eval)",
-               scale);
+  print_header("micro", "round e2e: reference vs tiled vs fast", scale);
 
   // Smoke shrinks the images along with the counts; the paper-shaped run
   // uses the paper's 32x32 inputs (the micro_gemm layer inventory assumes
@@ -81,15 +82,11 @@ int main() {
 
   const LocalTrainConfig cfg = paper_local_config();
 
-  // One full simulation under the given kernel/eval mode. The model is
-  // rebuilt from the same seed each time so every mode trains the same
-  // network on the same schedule.
-  auto run_mode = [&](kernels::KernelKind kind, kernels::EvalMode eval,
-                      std::size_t threads, bool int8_cache = true) {
+  // One full simulation under the given kernel mode. The model is rebuilt
+  // from the same seed each time so every mode trains the same network on
+  // the same schedule.
+  auto run_mode = [&](kernels::KernelKind kind, std::size_t threads) {
     kernels::set_active_kernel(kind);
-    kernels::set_eval_mode(eval);
-    const bool cache_was = kernels::int8_cache_enabled();
-    kernels::set_int8_cache_enabled(int8_cache);
     Rng mrng(7);
     auto model = make_model(spec, mrng);
     HeteroSwitchOptions options;
@@ -105,8 +102,6 @@ int main() {
     const SimulationResult res = run_simulation(*model, algo, pop, sim);
     r.seconds = t.elapsed_s();
     r.loss_history = res.train_loss_history;
-    kernels::set_int8_cache_enabled(cache_was);
-    kernels::set_eval_mode(kernels::EvalMode::kF32);
     kernels::set_active_kernel(kernels::KernelKind::kTiled);
     return r;
   };
@@ -114,20 +109,11 @@ int main() {
   struct Mode {
     const char* name;
     kernels::KernelKind kind;
-    kernels::EvalMode eval;
-    bool int8_cache = true;
   };
-  // The nocache row isolates the HS_EVAL_CACHE weight-code cache: same
-  // kernels, same eval path, re-quantizing the weights on every batch
-  // instead of once per model version. Its delta against fast+int8 is the
-  // cache's contribution.
   const Mode modes[] = {
-      {"reference", kernels::KernelKind::kReference, kernels::EvalMode::kF32},
-      {"tiled", kernels::KernelKind::kTiled, kernels::EvalMode::kF32},
-      {"fast", kernels::KernelKind::kFast, kernels::EvalMode::kF32},
-      {"fast+int8", kernels::KernelKind::kFast, kernels::EvalMode::kInt8},
-      {"fast+int8:nocache", kernels::KernelKind::kFast,
-       kernels::EvalMode::kInt8, false},
+      {"reference", kernels::KernelKind::kReference},
+      {"tiled", kernels::KernelKind::kTiled},
+      {"fast", kernels::KernelKind::kFast},
   };
 
   // HS_E2E_MODES: comma list restricting which modes run (e.g.
@@ -172,8 +158,7 @@ int main() {
   std::vector<std::vector<double>> rep_seconds(selected.size());
   for (std::size_t rep = 0; rep < reps; ++rep) {
     for (std::size_t m = 0; m < selected.size(); ++m) {
-      ModeResult r = run_mode(selected[m]->kind, selected[m]->eval, threads,
-                              selected[m]->int8_cache);
+      ModeResult r = run_mode(selected[m]->kind, threads);
       rep_seconds[m].push_back(r.seconds);
       if (rep == 0 || r.seconds < best[m].seconds) best[m] = std::move(r);
     }
@@ -212,7 +197,8 @@ int main() {
     std::snprintf(sp_s, sizeof sp_s, "%.2fx", vs_tiled);
     table.add_row({mode.name, rps_s, cps_s, sp_s});
     jsonl << "{\"bench\":\"micro_round_e2e\",\"mode\":\"" << mode.name
-          << "\",\"rounds\":" << rounds
+          << "\",\"scale\":\"" << (scale.paper_scale() ? "paper" : "smoke")
+          << "\",\"image\":" << image << ",\"rounds\":" << rounds
           << ",\"clients_per_round\":" << clients_per_round
           << ",\"rounds_per_s\":" << rps << ",\"clients_per_s\":" << cps
           << ",\"speedup_vs_tiled\":" << vs_tiled;
@@ -233,11 +219,9 @@ int main() {
   // Intra-op determinism: tiled with more threads than selected clients
   // routes through the executor's ScopedIntraOp grant; the loss history
   // must match the serial run bit for bit (DESIGN.md §13).
-  const ModeResult serial =
-      run_mode(kernels::KernelKind::kTiled, kernels::EvalMode::kF32, 1);
-  const ModeResult pooled = run_mode(kernels::KernelKind::kTiled,
-                                     kernels::EvalMode::kF32,
-                                     clients_per_round + 2);
+  const ModeResult serial = run_mode(kernels::KernelKind::kTiled, 1);
+  const ModeResult pooled =
+      run_mode(kernels::KernelKind::kTiled, clients_per_round + 2);
   bool deterministic = serial.loss_history.size() == pooled.loss_history.size();
   for (std::size_t i = 0; deterministic && i < serial.loss_history.size();
        ++i) {

@@ -60,18 +60,6 @@ void MulticastObserver::on_eval(std::size_t round,
   for (RoundObserver* c : children_) c->on_eval(round, metrics);
 }
 
-// ---------------------------------------------------------- CallbackObserver
-
-void CallbackObserver::on_round_end(std::size_t round,
-                                    const RoundStats& stats) {
-  if (fn_) fn_(round, stats.mean_train_loss);
-}
-
-std::unique_ptr<RoundObserver> observer_from_callback(
-    std::function<void(std::size_t, double)> fn) {
-  return std::make_unique<CallbackObserver>(std::move(fn));
-}
-
 // ----------------------------------------------------------- TracingObserver
 
 void TracingObserver::on_round_begin(std::size_t round,

@@ -21,8 +21,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 namespace hetero {
@@ -124,23 +122,6 @@ class MulticastObserver : public RoundObserver {
  private:
   std::vector<RoundObserver*> children_;
 };
-
-/// Adapter for the deprecated SimulationConfig::on_round callback: forwards
-/// on_round_end as fn(round, stats.mean_train_loss).
-class CallbackObserver : public RoundObserver {
- public:
-  explicit CallbackObserver(std::function<void(std::size_t, double)> fn)
-      : fn_(std::move(fn)) {}
-
-  void on_round_end(std::size_t round, const RoundStats& stats) override;
-
- private:
-  std::function<void(std::size_t, double)> fn_;
-};
-
-/// Wraps a legacy (round, mean-loss) callback in a RoundObserver.
-std::unique_ptr<RoundObserver> observer_from_callback(
-    std::function<void(std::size_t, double)> fn);
 
 /// Emits the trace events of DESIGN.md §8 through an obs::Tracer. Honours
 /// the tracer's include_timings flag: with timings off the emitted trace is

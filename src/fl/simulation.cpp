@@ -146,16 +146,7 @@ SimulationResult run_simulation(Model& model, FederatedAlgorithm& algorithm,
   HS_CHECK(cfg.clients_per_round > 0 && cfg.clients_per_round <= num_clients,
            "run_simulation: bad clients_per_round");
 
-  // Fan telemetry out to the configured observer and, for compatibility,
-  // the deprecated on_round callback wrapped as an observer.
-  MulticastObserver fanout;
-  fanout.add(cfg.observer);
-  std::unique_ptr<RoundObserver> legacy;
-  if (cfg.on_round) {
-    legacy = observer_from_callback(cfg.on_round);
-    fanout.add(legacy.get());
-  }
-  RoundObserver* observer = fanout.empty() ? nullptr : &fanout;
+  RoundObserver* observer = cfg.observer;
 
   if (cfg.sched.scheduled()) {
     // Async / buffered modes run on the virtual-clock event scheduler.

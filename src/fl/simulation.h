@@ -2,7 +2,6 @@
 // generalization metrics of Section 6.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -44,10 +43,6 @@ struct SimulationConfig {
   /// Telemetry sink for the run's round/client/eval events (see
   /// fl/observer.h and DESIGN.md §8). Non-owning; null disables telemetry.
   RoundObserver* observer = nullptr;
-  /// Deprecated: use `observer`. Still honoured through an internal
-  /// CallbackObserver adapter — fires as (round, mean train loss) after
-  /// every round, alongside (not instead of) `observer`.
-  std::function<void(std::size_t, double)> on_round;
   /// Deterministic fault injection + partial-aggregation hardening (see
   /// runtime/faults.h and DESIGN.md §10). Defaults inject nothing and are
   /// byte-identical to a run without the fault layer. Populated from

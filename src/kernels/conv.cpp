@@ -45,13 +45,22 @@
 
 namespace hetero::kernels {
 
+namespace {
+
+// Workspace slot map: slot 0 is left to the caller (src/nn keeps the
+// retained cols buffer there); forward/backward scratch lives above it.
+constexpr std::size_t kSlotYt = 1;
+constexpr std::size_t kSlotGo = 2;
+constexpr std::size_t kSlotDcols = 3;
+constexpr std::size_t kSlotCols = 4;   // non-retained (inference) cols
+constexpr std::size_t kSlotColsT = 5;  // transposed cols for the dW GEMM
+
 // Blocked transpose of a (rows, ld) matrix into (ld, rows) order, so the
-// weight-gradient GEMM (and the int8 eval path, which shares it through
-// internal.h) can reduce over the batched column index with unit-stride
-// loads.
+// weight-gradient GEMM can reduce over the batched column index with
+// unit-stride loads.
 HS_TILED_CLONES
-void detail::transpose_to(const float* HS_RESTRICT src, std::size_t rows,
-                          std::size_t ld, float* HS_RESTRICT dst) {
+void transpose_to(const float* HS_RESTRICT src, std::size_t rows,
+                  std::size_t ld, float* HS_RESTRICT dst) {
   constexpr std::size_t kB = 32;
   for (std::size_t i0 = 0; i0 < ld; i0 += kB) {
     const std::size_t ib = std::min(kB, ld - i0);
@@ -66,18 +75,6 @@ void detail::transpose_to(const float* HS_RESTRICT src, std::size_t rows,
     }
   }
 }
-
-namespace {
-
-using detail::transpose_to;
-
-// Workspace slot map: slot 0 is left to the caller (src/nn keeps the
-// retained cols buffer there); forward/backward scratch lives above it.
-constexpr std::size_t kSlotYt = 1;
-constexpr std::size_t kSlotGo = 2;
-constexpr std::size_t kSlotDcols = 3;
-constexpr std::size_t kSlotCols = 4;   // non-retained (inference) cols
-constexpr std::size_t kSlotColsT = 5;  // transposed cols for the dW GEMM
 
 struct ValidRange {
   std::size_t lo, hi;  // valid output index range [lo, hi)

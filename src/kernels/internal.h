@@ -1,7 +1,6 @@
 // Cross-TU internals of the kernel layer: the fast-kind GEMM entry points
-// (gemm_fast.cpp), the blocked transpose shared with the int8 eval path
-// (defined in conv.cpp), and the intra-op task-grid helper. Not installed
-// with the public kernels.h API.
+// (gemm_fast.cpp) and the intra-op task-grid helper. Not installed with the
+// public kernels.h API.
 #pragma once
 
 #include <cstddef>
@@ -97,13 +96,5 @@ void gemm_tn_fast_region(const float* a, const float* b, float* c,
                          std::size_t m, std::size_t k, std::size_t n,
                          std::size_t kk0, std::size_t kb, std::size_t j0,
                          std::size_t jb);
-
-// ------------------------------------------------------------ transpose ----
-
-/// Blocked transpose of a (rows, ld) matrix into (ld, rows) order. Defined
-/// in conv.cpp (the dW packing); the int8 eval path reuses it to turn
-/// patch-matrix columns into quantizable rows.
-void transpose_to(const float* src, std::size_t rows, std::size_t ld,
-                  float* dst);
 
 }  // namespace hetero::kernels::detail

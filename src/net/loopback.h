@@ -31,9 +31,8 @@ struct LoopbackResult {
 ///
 /// Supports the same subset as the wire layer: the sync loop with a
 /// stateless-client-phase split algorithm, no faults, no scheduler, no
-/// checkpointing, no legacy on_round callback. Mutates `model` exactly like
-/// run_simulation. Throws std::invalid_argument on unsupported configs or
-/// any protocol failure.
+/// checkpointing. Mutates `model` exactly like run_simulation. Throws
+/// std::invalid_argument on unsupported configs or any protocol failure.
 LoopbackResult run_distributed_loopback(Model& model,
                                         FederatedAlgorithm& algorithm,
                                         const ClientProvider& population,

@@ -453,20 +453,6 @@ TEST(Simulation, CheckpointsCollected) {
   EXPECT_EQ(r.checkpoints[1].first, 4u);
 }
 
-TEST(Simulation, OnRoundCallbackFires) {
-  FlPopulation pop = synthetic_population(2, 56);
-  SimulationConfig sim;
-  sim.rounds = 3;
-  sim.clients_per_round = 1;
-  sim.seed = 57;
-  int calls = 0;
-  sim.on_round = [&](std::size_t, double) { ++calls; };
-  auto model = tiny_model(58);
-  FedAvg algo(fast_cfg());
-  run_simulation(*model, algo, pop, sim);
-  EXPECT_EQ(calls, 3);
-}
-
 TEST(Simulation, ValidatesClientCount) {
   FlPopulation pop = synthetic_population(2, 59);
   SimulationConfig sim;

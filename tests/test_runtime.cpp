@@ -609,7 +609,7 @@ TEST(Observer, SerialFallbackIsFlaggedAndTimed) {
   EXPECT_FALSE(r.runtime.serial_fallback);
 }
 
-TEST(Observer, MulticastFansOutAndCallbackAdapterForwards) {
+TEST(Observer, MulticastFansOutToEveryChild) {
   RecordingObserver a, b;
   MulticastObserver multi;
   multi.add(&a);
@@ -617,28 +617,11 @@ TEST(Observer, MulticastFansOutAndCallbackAdapterForwards) {
   multi.add(&b);
   EXPECT_FALSE(multi.empty());
 
-  std::vector<std::pair<std::size_t, double>> callback_hits;
-  auto legacy = observer_from_callback(
-      [&](std::size_t round, double loss) { callback_hits.push_back({round, loss}); });
-  multi.add(legacy.get());
-
   FedAvg algo(fast_cfg());
   run_observed(algo, multi, 2, 99);
+  ASSERT_FALSE(a.log.empty());
   ASSERT_EQ(a.log.size(), b.log.size());
   for (std::size_t i = 0; i < a.log.size(); ++i) EXPECT_EQ(a.log[i], b.log[i]);
-  // The legacy adapter fires once per round with the round's mean loss.
-  ASSERT_EQ(callback_hits.size(), 5u);
-  for (std::size_t r = 0; r < 5; ++r) {
-    EXPECT_EQ(callback_hits[r].first, r);
-    std::string want;
-    {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "loss=%.17g ", callback_hits[r].second);
-      want = buf;
-    }
-    EXPECT_NE(a.log[r * 6 + 5].find(want), std::string::npos)
-        << a.log[r * 6 + 5];
-  }
 }
 
 }  // namespace

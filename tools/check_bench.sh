@@ -6,12 +6,13 @@
 # whose own exit code enforces the HS_ISP=fast >= 3x paired-median contract
 # on the full raw->RGB pipeline (bench/micro_isp.cpp).
 #
-# Known non-gating regression: the fast+int8 combination lands ~0.78x of
-# tiled in the committed BENCH_round_e2e.json. int8 eval is a semantics
-# path (quantized inference), not a throughput path, and at this model size
-# the quantize/dequantize overhead outweighs the narrower arithmetic — so
-# int8 is deliberately absent from HS_E2E_MODES below and nothing gates on
-# it. Revisit if int8 becomes a throughput claim.
+# Like with like: every baseline row records the scale ("smoke"/"paper"),
+# image size and round count it ran at, and the round bench is re-run at
+# the baseline's scale (HS_SCALE=1 for a paper-scale baseline). If any fresh
+# row's scale, image or rounds differ from the baseline's (an HS_SCALE or
+# HS_ROUNDS override, or a baseline recorded at another shape), the gate
+# exits 2 and names both shapes instead of comparing throughputs that do
+# not measure the same thing.
 #
 # Usage: tools/check_bench.sh [tolerance-fraction]
 #   tools/check_bench.sh          # 10% tolerance
@@ -20,8 +21,10 @@
 # Environment:
 #   BUILD_DIR   build tree holding bench/micro_round_e2e (default: build)
 #   HS_E2E_MODES  modes to re-measure (default: tiled,fast — the two that
-#                 matter for the fast>=1.3x contract; reference is slow and
-#                 int8 is a semantics path, so neither gates by default)
+#                 matter for the fast>=1.3x contract; reference is slow, so
+#                 it does not gate by default)
+#   HS_SCALE    overrides the baseline's scale for the round bench (a
+#               mismatch is then refused, see above)
 #
 # The bench writes BENCH_round_e2e.json into its working directory, so we
 # run it from a scratch dir and leave the committed baseline untouched.
@@ -64,24 +67,67 @@ fi
 SCRATCH=$(mktemp -d)
 trap 'rm -rf "${SCRATCH}"' EXIT
 
-# The bench's own exit code already enforces the fast>=1.3x paired-median
-# contract whenever both tiled and fast are selected; a regression there
-# fails before we even compare against the baseline.
-(
-  cd "${SCRATCH}"
-  HS_E2E_MODES=${HS_E2E_MODES:-tiled,fast} HS_SEED=${HS_SEED:-1} "${BENCH}"
-)
-
-FRESH="${SCRATCH}/BENCH_round_e2e.json"
-
-# Compare rounds_per_s per mode: fresh must be >= baseline * (1 - tolerance).
-awk -v tol="${TOLERANCE}" '
+# Pulls "key" out of a one-line JSON record (string or number value).
+AWK_FIELD='
   function field(line, key,   rest) {
     if (!match(line, "\"" key "\":\"?[^,}\"]*")) return ""
     rest = substr(line, RSTART, RLENGTH)
     sub("\"" key "\":\"?", "", rest)
     return rest
-  }
+  }'
+
+# "scale=S image=I rounds=R" of every row of a JSONL file, deduplicated.
+shape_of() {
+  awk "${AWK_FIELD}"'
+    { s = sprintf("scale=%s image=%s rounds=%s", field($0, "scale"),
+                  field($0, "image"), field($0, "rounds")) }
+    !(s in seen) { seen[s] = 1; print s }
+  ' "$1"
+}
+
+BASE_SHAPE=$(shape_of "${BASELINE}")
+if [[ $(wc -l <<< "${BASE_SHAPE}") -ne 1 ]]; then
+  echo "check_bench: baseline rows disagree on their shape:" >&2
+  echo "${BASE_SHAPE}" >&2
+  exit 2
+fi
+case "${BASE_SHAPE}" in
+  scale=paper\ *) BASE_SCALE=1 ;;
+  scale=smoke\ *) BASE_SCALE=0 ;;
+  *) echo "check_bench: baseline rows carry no scale (${BASE_SHAPE})" >&2
+     exit 2 ;;
+esac
+
+# The bench's own exit code enforces the fast>=1.3x paired-median contract
+# whenever both tiled and fast are selected. It is held until the shapes
+# are checked, so a mismatched run is refused rather than judged.
+BENCH_RC=0
+(
+  cd "${SCRATCH}"
+  HS_SCALE=${HS_SCALE:-${BASE_SCALE}} HS_E2E_MODES=${HS_E2E_MODES:-tiled,fast} \
+    HS_SEED=${HS_SEED:-1} "${BENCH}"
+) || BENCH_RC=$?
+
+FRESH="${SCRATCH}/BENCH_round_e2e.json"
+if [[ ! -s "${FRESH}" ]]; then
+  echo "check_bench: micro_round_e2e wrote no rows (exit ${BENCH_RC})" >&2
+  exit 2
+fi
+
+FRESH_SHAPE=$(shape_of "${FRESH}")
+if [[ "${FRESH_SHAPE}" != "${BASE_SHAPE}" ]]; then
+  echo "check_bench: refusing to compare: fresh run at" \
+       "$(tr '\n' ';' <<< "${FRESH_SHAPE}" | sed 's/;$//'), baseline" \
+       "BENCH_round_e2e.json at ${BASE_SHAPE}" >&2
+  exit 2
+fi
+if [[ ${BENCH_RC} -ne 0 ]]; then
+  echo "check_bench: micro_round_e2e failed its own gate (exit ${BENCH_RC})" >&2
+  exit "${BENCH_RC}"
+fi
+
+# Compare rounds_per_s per mode: fresh must be >= baseline * (1 - tolerance).
+awk -v tol="${TOLERANCE}" "${AWK_FIELD}"'
   NR == FNR { base[field($0, "mode")] = field($0, "rounds_per_s") + 0; next }
   {
     mode = field($0, "mode")
