@@ -1,15 +1,20 @@
 // Leaf-layer bench: where one mobile-mini training step and one eval
-// forward spend their time, by layer kind.
+// forward spend their time, by layer kind, and what the whole model costs.
 //
 // Walks the mobile-mini tree (Sequential, InvertedResidual bodies) and
 // times every leaf's forward and backward separately, in the order
 // Model::forward/backward would run them, for one B=10 training step and
-// one B=32 eval forward on 32x32 inputs. Kinds: stem (dense k>1 conv), dw
-// (depthwise conv), conv1 (1x1 conv), bn, hswish, relu, se (the whole
-// squeeze-excitation block), gap and linear. Each figure is the minimum
-// over N repetitions of that kind's per-step total (N = 50 smoke, 300 at
-// HS_SCALE=1). Honours HS_SEED and HS_KERNEL. The walked forward is checked
-// bit for bit against Model::forward, so the split times the real work.
+// one B=32 eval forward on 32x32 inputs. The walk moves each activation
+// from leaf to leaf as the containers do, so a leaf's time is its own work.
+// Kinds: stem (dense k>1 conv), dw (depthwise conv), conv1 (1x1 conv), bn,
+// hswish, relu, se (the whole squeeze-excitation block), gap and linear.
+// The leaf split cannot see what the containers themselves cost, so two
+// whole-model rows follow: Model::forward + backward for the B=10 step and
+// Model::forward for the B=32 eval, each with its getrusage minor page
+// faults per pass (mean over the repetitions). Each time is the minimum
+// over N repetitions (N = 50 smoke, 300 at HS_SCALE=1). Honours HS_SEED and
+// HS_KERNEL. The walked forward is checked bit for bit against
+// Model::forward, so the split times the real work.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -17,7 +22,10 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "bench_common.h"
 #include "kernels/kernels.h"
@@ -55,45 +63,63 @@ double us_since(Clock::time_point t0) {
 }
 
 /// Model::forward, one leaf at a time.
-Tensor walk_forward(Layer& layer, const Tensor& x, bool train,
-                    KindTimes& times) {
+Tensor walk_forward(Layer& layer, Tensor x, bool train, KindTimes& times) {
   if (auto* seq = dynamic_cast<Sequential*>(&layer)) {
-    Tensor y = x;
     for (std::size_t i = 0; i < seq->size(); ++i) {
-      y = walk_forward(seq->layer(i), y, train, times);
+      x = walk_forward(seq->layer(i), std::move(x), train, times);
     }
-    return y;
+    return x;
   }
   if (auto* ir = dynamic_cast<InvertedResidual*>(&layer)) {
+    if (!ir->has_skip()) {
+      return walk_forward(ir->body(), std::move(x), train, times);
+    }
     Tensor y = walk_forward(ir->body(), x, train, times);
-    if (ir->has_skip()) y += x;
+    y += x;
     return y;
   }
   const auto t0 = Clock::now();
-  Tensor y = layer.forward(x, train);
+  Tensor y = layer.forward(std::move(x), train);
   times[kind_of(layer)] += us_since(t0);
   return y;
 }
 
 /// Model::backward, one leaf at a time (children in reverse).
-Tensor walk_backward(Layer& layer, const Tensor& g, KindTimes& times) {
+Tensor walk_backward(Layer& layer, Tensor g, KindTimes& times) {
   if (auto* seq = dynamic_cast<Sequential*>(&layer)) {
-    Tensor gi = g;
     for (std::size_t i = seq->size(); i-- > 0;) {
-      gi = walk_backward(seq->layer(i), gi, times);
+      g = walk_backward(seq->layer(i), std::move(g), times);
     }
-    return gi;
+    return g;
   }
   if (auto* ir = dynamic_cast<InvertedResidual*>(&layer)) {
+    if (!ir->has_skip()) return walk_backward(ir->body(), std::move(g), times);
     Tensor gi = walk_backward(ir->body(), g, times);
-    if (ir->has_skip()) gi += g;
+    gi += g;
     return gi;
   }
   const auto t0 = Clock::now();
-  Tensor gi = layer.backward(g);
+  Tensor gi = layer.backward(std::move(g));
   times[kind_of(layer)] += us_since(t0);
   return gi;
 }
+
+long minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
+/// Whole-model timing of one pass: the fastest wall time and the mean
+/// minor faults over the repetitions.
+struct PassStats {
+  double best_us = std::numeric_limits<double>::infinity();
+  long faults = 0;
+  void add(double us, long f) {
+    best_us = std::min(best_us, us);
+    faults += f;
+  }
+};
 
 void keep_min(KindTimes& best, const KindTimes& cur) {
   for (const auto& [kind, us] : cur) {
@@ -135,6 +161,7 @@ int main() {
 
   SoftmaxCrossEntropy ce;
   KindTimes best_fwd, best_bwd, best_eval;
+  PassStats train_pass, eval_pass;
   for (int r = 0; r < reps; ++r) {
     KindTimes fwd, bwd, eval;
     model->zero_grad();
@@ -144,6 +171,21 @@ int main() {
     keep_min(best_fwd, fwd);
     keep_min(best_bwd, bwd);
     keep_min(best_eval, eval);
+
+    // The whole model, as local_train and forward_all call it: the batch
+    // and the loss gradient are moved in.
+    model->zero_grad();
+    Tensor xb = x_train;
+    long f0 = minor_faults();
+    auto t0 = Clock::now();
+    const Tensor out = model->forward(std::move(xb), true);
+    model->backward(ce(out, labels).grad);
+    train_pass.add(us_since(t0), minor_faults() - f0);
+    Tensor xe = x_eval;
+    f0 = minor_faults();
+    t0 = Clock::now();
+    const Tensor eval_out = model->forward(std::move(xe), false);
+    eval_pass.add(us_since(t0), minor_faults() - f0);
   }
 
   std::printf("micro_layers: mobile-mini 32x32, kernel=%s, min of %d\n",
@@ -156,5 +198,10 @@ int main() {
   }
   std::printf("%-8s %12.1f %12.1f %14.1f\n", "sum", total(best_fwd),
               total(best_bwd), total(best_eval));
+  std::printf("%-8s %12s %12s %14s %14s\n", "model", "B10 step us",
+              "faults/pass", "B32 eval us", "faults/pass");
+  std::printf("%-8s %12.1f %12.1f %14.1f %14.1f\n", "whole", train_pass.best_us,
+              static_cast<double>(train_pass.faults) / reps, eval_pass.best_us,
+              static_cast<double>(eval_pass.faults) / reps);
   return 0;
 }

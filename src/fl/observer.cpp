@@ -34,32 +34,6 @@ void RoundContext::finish_client(const ClientUpdate& update,
   finish_client(make_observation(update, order));
 }
 
-// --------------------------------------------------------- MulticastObserver
-
-void MulticastObserver::add(RoundObserver* child) {
-  if (child) children_.push_back(child);
-}
-
-void MulticastObserver::on_round_begin(
-    std::size_t round, const std::vector<std::size_t>& selected) {
-  for (RoundObserver* c : children_) c->on_round_begin(round, selected);
-}
-
-void MulticastObserver::on_client_end(std::size_t round,
-                                      const ClientObservation& client) {
-  for (RoundObserver* c : children_) c->on_client_end(round, client);
-}
-
-void MulticastObserver::on_round_end(std::size_t round,
-                                     const RoundStats& stats) {
-  for (RoundObserver* c : children_) c->on_round_end(round, stats);
-}
-
-void MulticastObserver::on_eval(std::size_t round,
-                                const DeviceMetrics& metrics) {
-  for (RoundObserver* c : children_) c->on_eval(round, metrics);
-}
-
 // ----------------------------------------------------------- TracingObserver
 
 void TracingObserver::on_round_begin(std::size_t round,

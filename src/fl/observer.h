@@ -105,24 +105,6 @@ struct RoundContext {
   void finish_client(const ClientUpdate& update, std::size_t order);
 };
 
-/// Fans events out to any number of child observers (registration order).
-class MulticastObserver : public RoundObserver {
- public:
-  /// Null children are ignored, so callers can add conditionally.
-  void add(RoundObserver* child);
-  bool empty() const { return children_.empty(); }
-
-  void on_round_begin(std::size_t round,
-                      const std::vector<std::size_t>& selected) override;
-  void on_client_end(std::size_t round,
-                     const ClientObservation& client) override;
-  void on_round_end(std::size_t round, const RoundStats& stats) override;
-  void on_eval(std::size_t round, const DeviceMetrics& metrics) override;
-
- private:
-  std::vector<RoundObserver*> children_;
-};
-
 /// Emits the trace events of DESIGN.md §8 through an obs::Tracer. Honours
 /// the tracer's include_timings flag: with timings off the emitted trace is
 /// byte-identical for any thread count.

@@ -1,5 +1,7 @@
 #include "fl/trainer.h"
 
+#include <utility>
+
 #include "nn/loss.h"
 #include "util/rng.h"
 
@@ -25,11 +27,13 @@ float local_train(Model& model, const Dataset& data,
       Batch batch = loader.batch(b);
       if (hooks.transform_batch) hooks.transform_batch(batch, rng);
 
-      Tensor logits = model.forward(batch.x, /*train=*/true);
+      // The batch and the loss gradient are dead after these calls, so
+      // their storage is handed to the network (nn/layer.h).
+      Tensor logits = model.forward(std::move(batch.x), /*train=*/true);
       LossResult lr = data.is_multi_label()
                           ? bce(logits, batch.multi_targets)
                           : ce(logits, batch.labels);
-      model.backward(lr.grad);
+      model.backward(std::move(lr.grad));
       if (hooks.post_grad) hooks.post_grad(model);
       opt.step_and_zero();
       if (hooks.post_step) hooks.post_step(model, batch_idx);

@@ -497,6 +497,11 @@ void col2im_strided_add(const float* src, const ConvShape& s, std::size_t c0,
   col2im_impl(src, s, c0, ld, col0, img);
 }
 
+bool conv_reads_input(KernelKind kind, const ConvShape& s) {
+  return kind != KernelKind::kReference &&
+         (pointwise(s) || depthwise_direct(s));
+}
+
 void conv2d_forward(KernelKind kind, const ConvShape& s, const float* x,
                     const float* w, const float* bias, float* y,
                     float* cols, Workspace& ws) {
@@ -504,11 +509,15 @@ void conv2d_forward(KernelKind kind, const ConvShape& s, const float* x,
   const std::size_t gic = s.group_in_c(), goc = s.group_out_c();
   const std::size_t patch = s.patch();
   const std::size_t img_stride = s.in_c * s.in_h * s.in_w;
-  // A caller-provided cols slab means a training forward: backward will
-  // replay from it, so the direct (pointwise/depthwise) paths must retain
-  // the input there. Eval forwards pass none — skip that copy entirely.
+  // A caller-provided cols slab means a training forward whose backward
+  // replays from it, so the direct (pointwise/depthwise) paths retain the
+  // input there. Eval forwards, and training callers that keep x itself
+  // (conv_reads_input), pass none — those paths then copy nothing, and only
+  // the paths that unfold a patch matrix take scratch for it.
   const bool retain = cols != nullptr;
-  if (!cols) cols = ws.get(kSlotCols, s.cols_size());
+  if (!cols && !conv_reads_input(kind, s)) {
+    cols = ws.get(kSlotCols, s.cols_size());
+  }
 
   if (kind == KernelKind::kReference) {
     // Seed path: one im2col + one GEMM per sample per group, with fresh

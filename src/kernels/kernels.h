@@ -158,17 +158,28 @@ void im2col_strided(const float* img, const ConvShape& s, std::size_t c0,
 void col2im_strided_add(const float* src, const ConvShape& s, std::size_t c0,
                         std::size_t ld, std::size_t col0, float* img);
 
+/// True when the kind's backward for this shape reads nothing but the
+/// forward input itself: the tiled/fast pointwise (1x1, stride 1, no pad)
+/// and direct depthwise paths, whose "patch matrix" is the input tensor
+/// verbatim. A caller that keeps the input alive until backward may then
+/// pass null `cols_retained` to conv2d_forward and the input as `cols` to
+/// conv2d_backward, skipping the retained copy. The reference kind and the
+/// im2col path always answer false.
+bool conv_reads_input(KernelKind kind, const ConvShape& s);
+
 /// Batched grouped convolution forward: y(n,out_c,oh,ow) = x * w (+ bias).
 /// w is (out_c, in_c/groups, k, k); bias is (out_c) or nullptr. When
 /// `cols_retained` is non-null it receives the batched per-group patch
 /// matrices (ConvShape::cols_size() floats, caller-stable until backward);
-/// otherwise scratch from `ws` is used. Allocation-free in steady state.
+/// otherwise scratch from `ws` is used where a patch matrix is needed at
+/// all. Allocation-free in steady state.
 void conv2d_forward(KernelKind kind, const ConvShape& s, const float* x,
                     const float* w, const float* bias, float* y,
                     float* cols_retained, Workspace& ws);
 
 /// Batched grouped convolution backward. Inputs: grad_out (n,out_c,oh,ow),
-/// weights w, and the patch matrices retained by conv2d_forward. Outputs:
+/// weights w, and the patch matrices retained by conv2d_forward (or, when
+/// conv_reads_input(kind, s), the forward input x). Outputs:
 /// gw (+=, shape of w), gb (+= per-channel sums, nullptr to skip), and
 /// grad_in (n,in_c,h,w), which must be zero-initialized — the fold-back
 /// accumulates straight into it (no intermediate image). Allocation-free in
@@ -223,5 +234,30 @@ void hsigmoid_backward(const float* x, const float* dy, float* dx,
 void hswish_forward(const float* x, float* y, std::size_t count);
 void hswish_backward(const float* x, const float* dy, float* dx,
                      std::size_t count);
+
+// In-place twins for layers that own their input (nn/layer.h): the same
+// per-element expressions, with the output overwriting the one buffer that
+// carries both in and out. The kernels above take HS_RESTRICT pointers, so
+// they must never be called with aliased arguments; these are the aliasing
+// forms. Each element is read before it is written and no element reads
+// another, so every twin is bit-identical to its out-of-place kernel.
+
+/// bn_normalize with y == x (xhat, when non-null, is a separate buffer).
+void bn_normalize_inplace(float* x, float* xhat, std::size_t n, std::size_t c,
+                          std::size_t hw, const float* mean, const float* inv,
+                          const float* gamma, const float* beta);
+/// bn_input_grad with dx == dy.
+void bn_input_grad_inplace(float* dy, const float* xhat, std::size_t n,
+                           std::size_t c, std::size_t hw, const float* g_inv,
+                           const float* k1, const float* k2);
+/// scale_planes with y == x.
+void scale_planes_inplace(float* x, const float* s, std::size_t planes,
+                          std::size_t hw);
+/// The hard-sigmoid/-swish maps with y == x, and their backward passes with
+/// dx == dy (x stays read-only).
+void hsigmoid_forward_inplace(float* x, std::size_t count);
+void hsigmoid_backward_inplace(const float* x, float* dy, std::size_t count);
+void hswish_forward_inplace(float* x, std::size_t count);
+void hswish_backward_inplace(const float* x, float* dy, std::size_t count);
 
 }  // namespace hetero::kernels

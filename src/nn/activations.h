@@ -10,8 +10,8 @@ namespace hetero {
 
 class ReLU : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   std::unique_ptr<Layer> clone() const override {
     return std::make_unique<ReLU>();
   }
@@ -28,8 +28,8 @@ class ReLU : public Layer {
 /// h-sigmoid(x) = clamp(x/6 + 0.5, 0, 1)  (the ReLU6(x+3)/6 formulation).
 class HSigmoid : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   std::unique_ptr<Layer> clone() const override {
     return std::make_unique<HSigmoid>();
   }
@@ -42,8 +42,8 @@ class HSigmoid : public Layer {
 /// h-swish(x) = x * h-sigmoid(x).
 class HSwish : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   std::unique_ptr<Layer> clone() const override {
     return std::make_unique<HSwish>();
   }

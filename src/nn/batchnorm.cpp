@@ -21,7 +21,7 @@ BatchNorm2d::BatchNorm2d(std::size_t channels, float momentum, float eps)
   HS_CHECK(channels > 0, "BatchNorm2d: zero channels");
 }
 
-Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
+Tensor BatchNorm2d::forward(Tensor x, bool train) {
   HS_CHECK(x.rank() == 4 && x.dim(1) == c_,
            "BatchNorm2d: input must be (N, C, H, W)");
   const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
@@ -29,13 +29,13 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   const double count = static_cast<double>(n * hw);
   HS_CHECK(count > 0, "BatchNorm2d: empty batch");
 
-  // Every element of y (and of the xhat cache) is written below, so neither
-  // is zero-filled, and the cache keeps its storage across forwards.
-  Tensor y = Tensor::uninit({n, c_, h, w});
+  // The output overwrites x in place. Every element of the xhat cache is
+  // written below, so it is not zero-filled, and it keeps its storage
+  // across forwards.
   std::vector<float> mean(c_), inv(c_);
   if (train) {
-    if (cached_xhat_.shape() != y.shape()) {
-      cached_xhat_ = Tensor::uninit(y.shape());
+    if (cached_xhat_.shape() != x.shape()) {
+      cached_xhat_ = Tensor::uninit(x.shape());
     }
     cached_n_ = n;
     cached_h_ = h;
@@ -59,13 +59,14 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
       inv[c] = 1.0f / std::sqrt(run_var_[c] + eps_);
     }
   }
-  kernels::bn_normalize(x.data(), y.data(),
-                        train ? cached_xhat_.data() : nullptr, n, c_, hw,
-                        mean.data(), inv.data(), gamma_.data(), beta_.data());
-  return y;
+  kernels::bn_normalize_inplace(x.data(),
+                                train ? cached_xhat_.data() : nullptr, n, c_,
+                                hw, mean.data(), inv.data(), gamma_.data(),
+                                beta_.data());
+  return x;
 }
 
-Tensor BatchNorm2d::backward(const Tensor& grad_out) {
+Tensor BatchNorm2d::backward(Tensor grad_out) {
   HS_CHECK(!cached_xhat_.empty(), "BatchNorm2d::backward: no cached forward");
   const std::size_t n = cached_n_, h = cached_h_, w = cached_w_;
   HS_CHECK(grad_out.rank() == 4 && grad_out.dim(0) == n &&
@@ -90,10 +91,10 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
     k1[c] = static_cast<float>(sum_dy[c] / m);
     k2[c] = static_cast<float>(sum_dy_xhat[c] / m);
   }
-  Tensor grad_in = Tensor::uninit({n, c_, h, w});
-  kernels::bn_input_grad(grad_out.data(), cached_xhat_.data(), grad_in.data(),
-                         n, c_, hw, g_inv.data(), k1.data(), k2.data());
-  return grad_in;
+  // The input gradient overwrites grad_out in place.
+  kernels::bn_input_grad_inplace(grad_out.data(), cached_xhat_.data(), n, c_,
+                                 hw, g_inv.data(), k1.data(), k2.data());
+  return grad_out;
 }
 
 std::unique_ptr<Layer> BatchNorm2d::clone() const {

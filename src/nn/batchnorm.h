@@ -17,8 +17,8 @@ class BatchNorm2d : public Layer {
 
   /// train=true normalizes with batch statistics and updates the running
   /// mean/var; train=false normalizes with the running statistics.
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   void collect(ParamGroup& group) override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "BatchNorm2d"; }

@@ -14,22 +14,26 @@ SEBlock::SEBlock(std::size_t channels, std::size_t reduction, Rng& rng)
       fc1_(channels, std::max<std::size_t>(1, channels / reduction), rng),
       fc2_(std::max<std::size_t>(1, channels / reduction), channels, rng) {}
 
-Tensor SEBlock::forward(const Tensor& x, bool train) {
+Tensor SEBlock::forward(Tensor x, bool train) {
   HS_CHECK(x.rank() == 4 && x.dim(1) == c_, "SEBlock: input mismatch");
-  Tensor s = gap_.forward(x, train);                       // (N, C)
-  Tensor h = relu_.forward(fc1_.forward(s, train), train); // (N, C/r)
-  Tensor gate = hsig_.forward(fc2_.forward(h, train), train);  // (N, C)
-  if (train) {
-    cached_x_ = x;
-    cached_gate_ = gate;
+  Tensor h = relu_.forward(fc1_.forward(spatial_mean(x), train),
+                           train);                              // (N, C/r)
+  Tensor gate = hsig_.forward(fc2_.forward(std::move(h), train), train);
+  const std::size_t planes = x.dim(0) * c_, hw = x.dim(2) * x.dim(3);
+  if (!train) {
+    kernels::scale_planes_inplace(x.data(), gate.data(), planes, hw);
+    return x;
   }
+  // Backward needs x and the gate: gate the input into a fresh output and
+  // keep both.
   Tensor y = Tensor::uninit(x.shape());
-  kernels::scale_planes(x.data(), gate.data(), y.data(), x.dim(0) * c_,
-                        x.dim(2) * x.dim(3));
+  kernels::scale_planes(x.data(), gate.data(), y.data(), planes, hw);
+  cached_x_ = std::move(x);
+  cached_gate_ = std::move(gate);
   return y;
 }
 
-Tensor SEBlock::backward(const Tensor& grad_out) {
+Tensor SEBlock::backward(Tensor grad_out) {
   HS_CHECK(!cached_x_.empty(), "SEBlock::backward: no cached forward");
   HS_CHECK(grad_out.same_shape(cached_x_),
            "SEBlock::backward: grad shape mismatch");
@@ -46,10 +50,10 @@ Tensor SEBlock::backward(const Tensor& grad_out) {
     grad_gate[p] = static_cast<float>(dots[p]);
   }
   // Back through the excitation MLP into the pooled features.
-  Tensor g = hsig_.backward(grad_gate);
-  g = fc2_.backward(g);
-  g = relu_.backward(g);
-  g = fc1_.backward(g);
+  Tensor g = hsig_.backward(std::move(grad_gate));
+  g = fc2_.backward(std::move(g));
+  g = relu_.backward(std::move(g));
+  g = fc1_.backward(std::move(g));
   // dx = dy * gate (the direct path) + the pooling backward's per-plane
   // broadcast g * (1/hw), in one pass over the planes.
   const float scale = 1.0f / static_cast<float>(hw);
@@ -79,14 +83,14 @@ Residual::Residual(std::unique_ptr<Layer> inner) : inner_(std::move(inner)) {
   HS_CHECK(inner_ != nullptr, "Residual: null inner layer");
 }
 
-Tensor Residual::forward(const Tensor& x, bool train) {
-  Tensor y = inner_->forward(x, train);
+Tensor Residual::forward(Tensor x, bool train) {
+  Tensor y = inner_->forward(x, train);  // the skip keeps x
   HS_CHECK(y.same_shape(x), "Residual: inner layer changed shape");
   y += x;
   return y;
 }
 
-Tensor Residual::backward(const Tensor& grad_out) {
+Tensor Residual::backward(Tensor grad_out) {
   Tensor g = inner_->backward(grad_out);
   g += grad_out;
   return g;
@@ -147,15 +151,17 @@ InvertedResidual::InvertedResidual(std::size_t in_c, std::size_t expand_c,
   body_.add(conv_bn(expand_c, out_c, 1, 1, 0, 1, rng));
 }
 
-Tensor InvertedResidual::forward(const Tensor& x, bool train) {
-  Tensor y = body_.forward(x, train);
-  if (use_res_) y += x;
+Tensor InvertedResidual::forward(Tensor x, bool train) {
+  if (!use_res_) return body_.forward(std::move(x), train);
+  Tensor y = body_.forward(x, train);  // the skip keeps x
+  y += x;
   return y;
 }
 
-Tensor InvertedResidual::backward(const Tensor& grad_out) {
+Tensor InvertedResidual::backward(Tensor grad_out) {
+  if (!use_res_) return body_.backward(std::move(grad_out));
   Tensor g = body_.backward(grad_out);
-  if (use_res_) g += grad_out;
+  g += grad_out;
   return g;
 }
 
@@ -185,22 +191,21 @@ FireModule::FireModule(std::size_t in_c, std::size_t squeeze_c,
       .add(std::make_unique<ReLU>());
 }
 
-Tensor FireModule::forward(const Tensor& x, bool train) {
-  Tensor sq = squeeze_.forward(x, train);
-  if (train) cached_sq_ = sq;
-  Tensor a = expand1_.forward(sq, train);
-  Tensor b = expand3_.forward(sq, train);
+Tensor FireModule::forward(Tensor x, bool train) {
+  Tensor sq = squeeze_.forward(std::move(x), train);
+  Tensor a = expand1_.forward(sq, train);  // both branches read sq
+  Tensor b = expand3_.forward(std::move(sq), train);
   return channel_concat(a, b);
 }
 
-Tensor FireModule::backward(const Tensor& grad_out) {
+Tensor FireModule::backward(Tensor grad_out) {
   HS_CHECK(grad_out.rank() == 4 && grad_out.dim(1) == e1_c_ + e3_c_,
            "FireModule::backward: grad shape mismatch");
   Tensor ga = channel_range(grad_out, 0, e1_c_);
   Tensor gb = channel_range(grad_out, e1_c_, e1_c_ + e3_c_);
-  Tensor gsq = expand1_.backward(ga);
-  gsq += expand3_.backward(gb);
-  return squeeze_.backward(gsq);
+  Tensor gsq = expand1_.backward(std::move(ga));
+  gsq += expand3_.backward(std::move(gb));
+  return squeeze_.backward(std::move(gsq));
 }
 
 void FireModule::collect(ParamGroup& group) {
@@ -259,7 +264,7 @@ ChannelShuffle::ChannelShuffle(std::size_t groups) : groups_(groups) {
   HS_CHECK(groups > 0, "ChannelShuffle: groups must be positive");
 }
 
-Tensor ChannelShuffle::forward(const Tensor& x, bool train) {
+Tensor ChannelShuffle::forward(Tensor x, bool train) {
   (void)train;
   HS_CHECK(x.rank() == 4 && x.dim(1) % groups_ == 0,
            "ChannelShuffle: channels not divisible by groups");
@@ -278,7 +283,7 @@ Tensor ChannelShuffle::forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor ChannelShuffle::backward(const Tensor& grad_out) {
+Tensor ChannelShuffle::backward(Tensor grad_out) {
   HS_CHECK(grad_out.rank() == 4 && grad_out.dim(1) % groups_ == 0,
            "ChannelShuffle::backward: bad grad shape");
   const std::size_t n = grad_out.dim(0), c = grad_out.dim(1),
@@ -328,7 +333,7 @@ ShuffleUnit::ShuffleUnit(std::size_t in_c, std::size_t out_c,
   }
 }
 
-Tensor ShuffleUnit::forward(const Tensor& x, bool train) {
+Tensor ShuffleUnit::forward(Tensor x, bool train) {
   HS_CHECK(x.rank() == 4 && x.dim(1) == in_c_, "ShuffleUnit: input mismatch");
   if (train) cached_in_shape_ = x.shape();
   Tensor merged;
@@ -338,29 +343,29 @@ Tensor ShuffleUnit::forward(const Tensor& x, bool train) {
     Tensor b = right_.forward(channel_range(x, half, in_c_), train);
     merged = channel_concat(a, b);
   } else {
-    Tensor a = left_.forward(x, train);
-    Tensor b = right_.forward(x, train);
+    Tensor a = left_.forward(x, train);  // both branches read x
+    Tensor b = right_.forward(std::move(x), train);
     merged = channel_concat(a, b);
   }
   ChannelShuffle shuffle(2);
-  return shuffle.forward(merged, false);
+  return shuffle.forward(std::move(merged), false);
 }
 
-Tensor ShuffleUnit::backward(const Tensor& grad_out) {
+Tensor ShuffleUnit::backward(Tensor grad_out) {
   HS_CHECK(!cached_in_shape_.empty(), "ShuffleUnit::backward: no forward");
   // Un-shuffle the incoming gradient (shuffle is parameter-free).
   ChannelShuffle shuffle(2);
-  Tensor g = shuffle.backward(grad_out);
+  Tensor g = shuffle.backward(std::move(grad_out));
   const std::size_t half = out_c_ / 2;
   Tensor ga = channel_range(g, 0, half);
   Tensor gb = channel_range(g, half, out_c_);
   if (stride_ == 1) {
-    Tensor gx_right = right_.backward(gb);
+    Tensor gx_right = right_.backward(std::move(gb));
     // Reassemble the split: left half passed through untouched.
     return channel_concat(ga, gx_right);
   }
-  Tensor gx = left_.backward(ga);
-  gx += right_.backward(gb);
+  Tensor gx = left_.backward(std::move(ga));
+  gx += right_.backward(std::move(gb));
   return gx;
 }
 

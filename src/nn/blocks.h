@@ -31,19 +31,19 @@ class SEBlock : public Layer {
   SEBlock(std::size_t channels, std::size_t reduction, Rng& rng);
   SEBlock(const SEBlock& other);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   void collect(ParamGroup& group) override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "SEBlock"; }
 
  private:
   std::size_t c_;
-  GlobalAvgPool gap_;
   Linear fc1_, fc2_;
   ReLU relu_;
   HSigmoid hsig_;
-  Tensor cached_x_, cached_gate_;  // gate: (N, C)
+  Tensor cached_x_;     // the training forward's input, moved in
+  Tensor cached_gate_;  // (N, C)
 };
 
 /// Residual skip around an inner layer with matching input/output shapes.
@@ -51,8 +51,8 @@ class Residual : public Layer {
  public:
   explicit Residual(std::unique_ptr<Layer> inner);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   void collect(ParamGroup& group) override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "Residual"; }
@@ -76,8 +76,8 @@ class InvertedResidual : public Layer {
                    Nonlinearity nl, Rng& rng);
   InvertedResidual(const InvertedResidual& other);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   void collect(ParamGroup& group) override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "InvertedResidual"; }
@@ -100,8 +100,8 @@ class FireModule : public Layer {
              std::size_t expand3_c, Rng& rng);
   FireModule(const FireModule& other);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   void collect(ParamGroup& group) override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "FireModule"; }
@@ -110,7 +110,6 @@ class FireModule : public Layer {
   std::size_t e1_c_, e3_c_;
   Sequential squeeze_;
   Sequential expand1_, expand3_;
-  Tensor cached_sq_;  // squeeze output (input to both branches)
 };
 
 /// ShuffleNetV2 basic unit. stride==1: channel split, right branch conv,
@@ -124,8 +123,8 @@ class ShuffleUnit : public Layer {
               Rng& rng);
   ShuffleUnit(const ShuffleUnit& other);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   void collect(ParamGroup& group) override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "ShuffleUnit"; }
@@ -143,8 +142,8 @@ class ChannelShuffle : public Layer {
  public:
   explicit ChannelShuffle(std::size_t groups);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   std::unique_ptr<Layer> clone() const override {
     return std::make_unique<ChannelShuffle>(groups_);
   }

@@ -56,7 +56,7 @@ kernels::ConvShape Conv2d::shape(std::size_t n, std::size_t in_h,
   return s;
 }
 
-Tensor Conv2d::forward(const Tensor& x, bool train) {
+Tensor Conv2d::forward(Tensor x, bool train) {
   HS_CHECK(x.rank() == 4 && x.dim(1) == in_c_,
            "Conv2d: input must be (N, in_c, H, W)");
   const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
@@ -68,9 +68,13 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   // general) writes the full output, so the zero-fill is skipped.
   Tensor y = Tensor::uninit({n, out_c_, s.out_h(), s.out_w()});
   const kernels::KernelKind kind = kernels::active_kernel();
+  // A training forward retains what backward replays: the input itself
+  // when the kernel's backward reads nothing else (moved into cached_x_
+  // after the forward below), else the patch matrices in workspace slot 0.
+  const bool keep_x = train && kernels::conv_reads_input(kind, s);
   float* cols = nullptr;
   if (train) {
-    cols = ws_.get(0, s.cols_size());
+    if (!keep_x) cols = ws_.get(0, s.cols_size());
     cached_kind_ = kind;
     has_cached_ = true;
     cached_n_ = n;
@@ -80,10 +84,11 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   kernels::conv2d_forward(kind, s, x.data(), w_.data(),
                           has_bias_ ? b_.data() : nullptr, y.data(), cols,
                           ws_);
+  if (train) cached_x_ = keep_x ? std::move(x) : Tensor();
   return y;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_out) {
+Tensor Conv2d::backward(Tensor grad_out) {
   HS_CHECK(has_cached_, "Conv2d::backward: no cached forward");
   const std::size_t n = cached_n_, h = cached_h_, w = cached_w_;
   const kernels::ConvShape s = shape(n, h, w);
@@ -93,7 +98,9 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
            "Conv2d::backward: grad shape mismatch");
 
   Tensor grad_in({n, in_c_, h, w});  // zero-initialized; kernel folds into it
-  const float* cols = ws_.get(0, s.cols_size());
+  const float* cols = kernels::conv_reads_input(cached_kind_, s)
+                          ? cached_x_.data()
+                          : ws_.get(0, s.cols_size());
   kernels::conv2d_backward(cached_kind_, s, grad_out.data(), w_.data(), cols,
                            gw_.data(), has_bias_ ? gb_.data() : nullptr,
                            grad_in.data(), ws_);

@@ -30,8 +30,8 @@ class Conv2d : public Layer {
                                       std::size_t kernel, std::size_t stride,
                                       std::size_t pad, Rng& rng);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   void collect(ParamGroup& group) override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "Conv2d"; }
@@ -55,8 +55,11 @@ class Conv2d : public Layer {
   Tensor w_, b_, gw_, gb_;
   // Caches from the last training forward. The patch matrices sit in the
   // workspace (slot 0); their layout depends on the kernel kind, so the
-  // kind is pinned at forward time and reused by backward.
+  // kind is pinned at forward time and reused by backward. When that kind's
+  // backward reads the input itself (kernels::conv_reads_input), the input
+  // is moved into cached_x_ instead and slot 0 is not touched.
   kernels::Workspace ws_;
+  Tensor cached_x_;
   kernels::KernelKind cached_kind_ = kernels::KernelKind::kReference;
   bool has_cached_ = false;
   std::size_t cached_n_ = 0, cached_h_ = 0, cached_w_ = 0;

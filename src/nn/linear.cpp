@@ -20,9 +20,8 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, Rng& rng,
   HS_CHECK(in_features > 0 && out_features > 0, "Linear: zero-sized layer");
 }
 
-Tensor Linear::forward(const Tensor& x, bool train) {
+Tensor Linear::forward(Tensor x, bool train) {
   HS_CHECK(x.rank() == 2 && x.dim(1) == in_, "Linear: input shape mismatch");
-  if (train) cached_x_ = x;
   const std::size_t n = x.dim(0);
   Tensor y = Tensor::uninit({n, out_});  // y = x W^T (fully written below)
   kernels::gemm_nt(kernels::active_kernel(), x.data(), w_.data(), y.data(), n,
@@ -33,10 +32,11 @@ Tensor Linear::forward(const Tensor& x, bool train) {
       for (std::size_t j = 0; j < out_; ++j) row[j] += b_[j];
     }
   }
+  if (train) cached_x_ = std::move(x);
   return y;
 }
 
-Tensor Linear::backward(const Tensor& grad_out) {
+Tensor Linear::backward(Tensor grad_out) {
   HS_CHECK(grad_out.rank() == 2 && grad_out.dim(1) == out_,
            "Linear::backward: grad shape mismatch");
   HS_CHECK(!cached_x_.empty(), "Linear::backward: no cached forward");

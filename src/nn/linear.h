@@ -19,8 +19,8 @@ class Linear : public Layer {
   /// blocks that hold Linear members by value.
   Linear(const Linear& other);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   void collect(ParamGroup& group) override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "Linear"; }

@@ -14,11 +14,11 @@ std::unique_ptr<Model> Model::clone() const {
   return std::make_unique<Model>(id_, net_->clone());
 }
 
-Tensor Model::forward(const Tensor& x, bool train) {
-  return net_->forward(x, train);
+Tensor Model::forward(Tensor x, bool train) {
+  return net_->forward(std::move(x), train);
 }
 
-Tensor Model::backward(const Tensor& grad) { return net_->backward(grad); }
+Tensor Model::backward(Tensor grad) { return net_->backward(std::move(grad)); }
 
 void Model::zero_grad() {
   for (Tensor* g : group_.grads) g->zero();

@@ -23,8 +23,11 @@ class Model {
   /// Model. Used to build per-worker replicas for parallel client execution.
   std::unique_ptr<Model> clone() const;
 
-  Tensor forward(const Tensor& x, bool train = false);
-  Tensor backward(const Tensor& grad);
+  /// Runs the network; like Layer::forward/backward, the model owns its
+  /// argument (pass std::move(t) to hand the storage on, an lvalue to keep
+  /// it).
+  Tensor forward(Tensor x, bool train = false);
+  Tensor backward(Tensor grad);
   void zero_grad();
 
   Layer& net() { return *net_; }

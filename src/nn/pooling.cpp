@@ -128,7 +128,7 @@ MaxPool2d::MaxPool2d(std::size_t kernel, std::size_t stride)
   HS_CHECK(kernel > 0 && stride > 0, "MaxPool2d: bad kernel/stride");
 }
 
-Tensor MaxPool2d::forward(const Tensor& x, bool train) {
+Tensor MaxPool2d::forward(Tensor x, bool train) {
   HS_CHECK(x.rank() == 4, "MaxPool2d: input must be (N,C,H,W)");
   const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   HS_CHECK(h >= kernel_ && w >= kernel_, "MaxPool2d: window exceeds input");
@@ -246,7 +246,7 @@ Tensor MaxPool2d::forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor MaxPool2d::backward(const Tensor& grad_out) {
+Tensor MaxPool2d::backward(Tensor grad_out) {
   HS_CHECK(!argmax_.empty() || !codes_.empty(),
            "MaxPool2d::backward: no cached forward");
   Tensor grad_in(in_shape_);
@@ -284,7 +284,7 @@ AvgPool2d::AvgPool2d(std::size_t kernel, std::size_t stride)
   HS_CHECK(kernel > 0 && stride > 0, "AvgPool2d: bad kernel/stride");
 }
 
-Tensor AvgPool2d::forward(const Tensor& x, bool train) {
+Tensor AvgPool2d::forward(Tensor x, bool train) {
   HS_CHECK(x.rank() == 4, "AvgPool2d: input must be (N,C,H,W)");
   const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   HS_CHECK(h >= kernel_ && w >= kernel_, "AvgPool2d: window exceeds input");
@@ -313,7 +313,7 @@ Tensor AvgPool2d::forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor AvgPool2d::backward(const Tensor& grad_out) {
+Tensor AvgPool2d::backward(Tensor grad_out) {
   HS_CHECK(!in_shape_.empty(), "AvgPool2d::backward: no cached forward");
   const std::size_t n = in_shape_[0], c = in_shape_[1], h = in_shape_[2],
                     w = in_shape_[3];
@@ -343,10 +343,15 @@ Tensor AvgPool2d::backward(const Tensor& grad_out) {
   return grad_in;
 }
 
-Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
+Tensor GlobalAvgPool::forward(Tensor x, bool train) {
   HS_CHECK(x.rank() == 4, "GlobalAvgPool: input must be (N,C,H,W)");
+  if (train) in_shape_ = x.shape();
+  return spatial_mean(x);
+}
+
+Tensor spatial_mean(const Tensor& x) {
+  HS_CHECK(x.rank() == 4, "spatial_mean: input must be (N,C,H,W)");
   const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  if (train) in_shape_ = {n, c, h, w};
   // One f64 chain per (sample, channel) plane, planes side by side in lanes.
   std::vector<double> sums(n * c), sumsq(n * c);
   kernels::channel_sums(x.data(), x.data(), 1, n * c, h * w, sums.data(),
@@ -359,7 +364,7 @@ Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
+Tensor GlobalAvgPool::backward(Tensor grad_out) {
   HS_CHECK(!in_shape_.empty(), "GlobalAvgPool::backward: no cached forward");
   const std::size_t n = in_shape_[0], c = in_shape_[1], h = in_shape_[2],
                     w = in_shape_[3];
@@ -379,17 +384,19 @@ Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
   return grad_in;
 }
 
-Tensor Flatten::forward(const Tensor& x, bool train) {
+Tensor Flatten::forward(Tensor x, bool train) {
   HS_CHECK(x.rank() >= 2, "Flatten: rank must be >= 2");
   if (train) in_shape_ = x.shape();
   std::size_t f = 1;
   for (std::size_t i = 1; i < x.rank(); ++i) f *= x.dim(i);
-  return x.reshaped({x.dim(0), f});
+  x.reshape({x.dim(0), f});  // same storage, new shape
+  return x;
 }
 
-Tensor Flatten::backward(const Tensor& grad_out) {
+Tensor Flatten::backward(Tensor grad_out) {
   HS_CHECK(!in_shape_.empty(), "Flatten::backward: no cached forward");
-  return grad_out.reshaped(in_shape_);
+  grad_out.reshape(in_shape_);
+  return grad_out;
 }
 
 }  // namespace hetero

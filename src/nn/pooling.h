@@ -10,8 +10,8 @@ class MaxPool2d : public Layer {
  public:
   MaxPool2d(std::size_t kernel, std::size_t stride);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   std::unique_ptr<Layer> clone() const override {
     return std::make_unique<MaxPool2d>(kernel_, stride_);
   }
@@ -31,8 +31,8 @@ class AvgPool2d : public Layer {
  public:
   AvgPool2d(std::size_t kernel, std::size_t stride);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   std::unique_ptr<Layer> clone() const override {
     return std::make_unique<AvgPool2d>(kernel_, stride_);
   }
@@ -43,11 +43,16 @@ class AvgPool2d : public Layer {
   std::vector<std::size_t> in_shape_;
 };
 
+/// (N, C, H, W) -> (N, C): the mean of every (sample, channel) plane, one
+/// f64 chain per plane. GlobalAvgPool's forward, for callers that keep x
+/// (the squeeze of SEBlock).
+Tensor spatial_mean(const Tensor& x);
+
 /// (N, C, H, W) -> (N, C): spatial mean per channel.
 class GlobalAvgPool : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   std::unique_ptr<Layer> clone() const override {
     return std::make_unique<GlobalAvgPool>();
   }
@@ -60,8 +65,8 @@ class GlobalAvgPool : public Layer {
 /// (N, C, H, W) -> (N, C*H*W); also accepts already-flat (N, F) unchanged.
 class Flatten : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   std::unique_ptr<Layer> clone() const override {
     return std::make_unique<Flatten>();
   }

@@ -17,18 +17,16 @@ Sequential& Sequential::add(std::unique_ptr<Layer> layer) {
   return *this;
 }
 
-Tensor Sequential::forward(const Tensor& x, bool train) {
-  Tensor h = x;
-  for (auto& l : layers_) h = l->forward(h, train);
-  return h;
+Tensor Sequential::forward(Tensor x, bool train) {
+  for (auto& l : layers_) x = l->forward(std::move(x), train);
+  return x;
 }
 
-Tensor Sequential::backward(const Tensor& grad_out) {
-  Tensor g = grad_out;
+Tensor Sequential::backward(Tensor grad_out) {
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
+    grad_out = (*it)->backward(std::move(grad_out));
   }
-  return g;
+  return grad_out;
 }
 
 void Sequential::collect(ParamGroup& group) {

@@ -1,4 +1,5 @@
-// Sequential container: runs children in order, backward in reverse.
+// Sequential container: runs children in order, backward in reverse,
+// moving each activation and gradient from one child into the next.
 #pragma once
 
 #include <memory>
@@ -18,8 +19,8 @@ class Sequential : public Layer {
   /// Appends a layer; returns *this for chaining.
   Sequential& add(std::unique_ptr<Layer> layer);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   void collect(ParamGroup& group) override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "Sequential"; }

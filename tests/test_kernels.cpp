@@ -12,7 +12,8 @@
 //     steady state (global operator new hook + Workspace::grow_count()).
 //   * The layer-glue kernels (channel-lane sums, BatchNorm affine map)
 //     reproduce the seed's scalar chains bit for bit, on exactly-sized
-//     buffers so a sanitizer build catches any read past a plane's tail.
+//     buffers so a sanitizer build catches any read past a plane's tail,
+//     and every in-place twin matches its out-of-place kernel bit for bit.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -29,6 +30,7 @@
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 #include "nn/model_zoo.h"
+#include "seed_loops.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -581,6 +583,85 @@ TEST(LayerGlue, BnNormalizeStoresSeedOutputAndXhat) {
       }
     }
   }
+}
+
+/// An exactly-sized copy of a tensor's elements.
+std::vector<float> values_of(const Tensor& t) {
+  return std::vector<float>(t.data(), t.data() + t.size());
+}
+
+bool same_floats(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(LayerGlue, InPlaceTwinsMatchOutOfPlaceKernels) {
+  Rng rng(72);
+  testing::for_oracle_shapes([&](std::size_t n, std::size_t c, std::size_t h,
+                                 std::size_t w, const std::string& tag) {
+    const std::size_t hw = h * w, count = n * c * hw;
+    const std::vector<float> x = values_of(testing::edge_case_tensor({count}, rng));
+    const std::vector<float> dy =
+        values_of(testing::edge_case_tensor({count}, rng));
+    std::vector<float> mean(c), inv(c), gamma(c), beta(c), k1(c), k2(c);
+    std::vector<float> scale(n * c);
+    fill_random(mean, rng);
+    fill_random(inv, rng, 0.1f, 3.0f);
+    fill_random(gamma, rng);
+    fill_random(beta, rng);
+    fill_random(k1, rng);
+    fill_random(k2, rng);
+    fill_random(scale, rng, -2.0f, 2.0f);
+
+    // BatchNorm affine map, with and without the xhat cache.
+    std::vector<float> y(count), xhat(count), xhat_in(count);
+    kernels::bn_normalize(x.data(), y.data(), xhat.data(), n, c, hw,
+                          mean.data(), inv.data(), gamma.data(), beta.data());
+    std::vector<float> v = x;
+    kernels::bn_normalize_inplace(v.data(), xhat_in.data(), n, c, hw,
+                                  mean.data(), inv.data(), gamma.data(),
+                                  beta.data());
+    EXPECT_TRUE(same_floats(v, y)) << tag << " bn_normalize";
+    EXPECT_TRUE(same_floats(xhat_in, xhat)) << tag << " bn_normalize xhat";
+    kernels::bn_normalize(x.data(), y.data(), nullptr, n, c, hw, mean.data(),
+                          inv.data(), gamma.data(), beta.data());
+    v = x;
+    kernels::bn_normalize_inplace(v.data(), nullptr, n, c, hw, mean.data(),
+                                  inv.data(), gamma.data(), beta.data());
+    EXPECT_TRUE(same_floats(v, y)) << tag << " bn_normalize eval";
+
+    // BatchNorm input gradient (x stands in for the xhat cache).
+    kernels::bn_input_grad(dy.data(), x.data(), y.data(), n, c, hw,
+                           gamma.data(), k1.data(), k2.data());
+    v = dy;
+    kernels::bn_input_grad_inplace(v.data(), x.data(), n, c, hw,
+                                   gamma.data(), k1.data(), k2.data());
+    EXPECT_TRUE(same_floats(v, y)) << tag << " bn_input_grad";
+
+    // SE gate.
+    kernels::scale_planes(x.data(), scale.data(), y.data(), n * c, hw);
+    v = x;
+    kernels::scale_planes_inplace(v.data(), scale.data(), n * c, hw);
+    EXPECT_TRUE(same_floats(v, y)) << tag << " scale_planes";
+
+    // Hard-sigmoid / hard-swish, forward and backward.
+    kernels::hsigmoid_forward(x.data(), y.data(), count);
+    v = x;
+    kernels::hsigmoid_forward_inplace(v.data(), count);
+    EXPECT_TRUE(same_floats(v, y)) << tag << " hsigmoid_forward";
+    kernels::hsigmoid_backward(x.data(), dy.data(), y.data(), count);
+    v = dy;
+    kernels::hsigmoid_backward_inplace(x.data(), v.data(), count);
+    EXPECT_TRUE(same_floats(v, y)) << tag << " hsigmoid_backward";
+    kernels::hswish_forward(x.data(), y.data(), count);
+    v = x;
+    kernels::hswish_forward_inplace(v.data(), count);
+    EXPECT_TRUE(same_floats(v, y)) << tag << " hswish_forward";
+    kernels::hswish_backward(x.data(), dy.data(), y.data(), count);
+    v = dy;
+    kernels::hswish_backward_inplace(x.data(), v.data(), count);
+    EXPECT_TRUE(same_floats(v, y)) << tag << " hswish_backward";
+  });
 }
 
 }  // namespace

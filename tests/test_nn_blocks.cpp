@@ -1,7 +1,12 @@
 // Gradient and shape tests for the composite blocks (SE, residual,
-// inverted residual, fire, shuffle).
+// inverted residual, fire, shuffle), and the value-semantics contract of
+// every layer the model zoo builds.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+
+#include "kernels/kernels.h"
 #include "nn/blocks.h"
 #include "seed_loops.h"
 #include "test_util.h"
@@ -290,6 +295,151 @@ TEST(ConvBnAct, BuildsTriple) {
   EXPECT_EQ(seq->size(), 3u);
   Tensor y = seq->forward(Tensor::randn({1, 3, 6, 6}, rng), false);
   EXPECT_EQ(y.shape(), (std::vector<std::size_t>{1, 8, 6, 6}));
+}
+
+// --------------------------------------------------------- value semantics --
+// Layers own their arguments (nn/layer.h): forward/backward on an lvalue
+// must leave it untouched, and handing the same values over with std::move
+// must give the same bits as the lvalue call — outputs, input gradients,
+// parameter gradients and BatchNorm buffers — whether the layer computed in
+// place, moved the argument into a cache, or did neither.
+
+struct ZooLayer {
+  const char* name;
+  std::function<std::unique_ptr<Layer>(Rng&)> make;
+  std::vector<std::size_t> in_shape;
+};
+
+std::vector<ZooLayer> zoo_layers() {
+  using V = std::vector<std::size_t>;
+  return {
+      {"Conv2d stem 3x3/2",
+       [](Rng& r) { return std::make_unique<Conv2d>(3, 8, 3, 2, 1, 1, r); },
+       V{3, 3, 8, 8}},
+      {"Conv2d pointwise",
+       [](Rng& r) { return std::make_unique<Conv2d>(8, 12, 1, 1, 0, 1, r); },
+       V{3, 8, 8, 8}},
+      {"Conv2d depthwise 3x3/1",
+       [](Rng& r) { return std::make_unique<Conv2d>(8, 8, 3, 1, 1, 8, r); },
+       V{3, 8, 8, 8}},
+      {"Conv2d depthwise 5x5/2",
+       [](Rng& r) { return std::make_unique<Conv2d>(8, 8, 5, 2, 2, 8, r); },
+       V{3, 8, 8, 8}},
+      {"Conv2d biased 3x3",
+       [](Rng& r) {
+         return std::make_unique<Conv2d>(4, 6, 3, 1, 1, 1, r, true);
+       },
+       V{2, 4, 6, 6}},
+      {"BatchNorm2d",
+       [](Rng&) { return std::make_unique<BatchNorm2d>(9); }, V{3, 9, 5, 3}},
+      {"ReLU", [](Rng&) { return std::make_unique<ReLU>(); }, V{2, 5, 4, 4}},
+      {"HSwish", [](Rng&) { return std::make_unique<HSwish>(); },
+       V{2, 5, 4, 4}},
+      {"HSigmoid", [](Rng&) { return std::make_unique<HSigmoid>(); },
+       V{2, 5, 4, 4}},
+      {"SEBlock", [](Rng& r) { return std::make_unique<SEBlock>(8, 4, r); },
+       V{3, 8, 4, 4}},
+      {"Linear", [](Rng& r) { return std::make_unique<Linear>(32, 10, r); },
+       V{4, 32}},
+      {"GlobalAvgPool", [](Rng&) { return std::make_unique<GlobalAvgPool>(); },
+       V{3, 6, 4, 4}},
+      {"MaxPool2d", [](Rng&) { return std::make_unique<MaxPool2d>(2, 2); },
+       V{2, 4, 8, 8}},
+      {"AvgPool2d", [](Rng&) { return std::make_unique<AvgPool2d>(2, 2); },
+       V{2, 4, 8, 8}},
+      {"Flatten", [](Rng&) { return std::make_unique<Flatten>(); },
+       V{2, 3, 4, 4}},
+      {"ChannelShuffle",
+       [](Rng&) { return std::make_unique<ChannelShuffle>(2); },
+       V{2, 8, 3, 3}},
+      {"Sequential conv_bn_act",
+       [](Rng& r) {
+         return conv_bn_act(8, 16, 1, 1, 0, 1, Nonlinearity::kHSwish, r);
+       },
+       V{3, 8, 4, 4}},
+      {"InvertedResidual skip",
+       [](Rng& r) {
+         return std::make_unique<InvertedResidual>(
+             8, 16, 8, 3, 1, true, Nonlinearity::kReLU, r);
+       },
+       V{3, 8, 8, 8}},
+      {"InvertedResidual no skip",
+       [](Rng& r) {
+         return std::make_unique<InvertedResidual>(
+             8, 24, 16, 3, 2, false, Nonlinearity::kHSwish, r);
+       },
+       V{3, 8, 8, 8}},
+      {"Residual",
+       [](Rng& r) {
+         return std::make_unique<Residual>(conv_bn(8, 8, 3, 1, 1, 1, r));
+       },
+       V{2, 8, 4, 4}},
+      {"FireModule",
+       [](Rng& r) { return std::make_unique<FireModule>(8, 4, 8, 8, r); },
+       V{2, 8, 6, 6}},
+      {"ShuffleUnit stride 1",
+       [](Rng& r) { return std::make_unique<ShuffleUnit>(8, 8, 1, r); },
+       V{2, 8, 6, 6}},
+      {"ShuffleUnit stride 2",
+       [](Rng& r) { return std::make_unique<ShuffleUnit>(8, 16, 2, r); },
+       V{2, 8, 6, 6}},
+  };
+}
+
+/// Every tensor a layer exposes: parameters, gradients, buffers.
+std::vector<const Tensor*> layer_state(Layer& layer) {
+  const ParamGroup g = layer.param_group();
+  std::vector<const Tensor*> all(g.params.begin(), g.params.end());
+  all.insert(all.end(), g.grads.begin(), g.grads.end());
+  all.insert(all.end(), g.buffers.begin(), g.buffers.end());
+  return all;
+}
+
+TEST(ValueSemantics, EveryZooLayerLeavesLvaluesAloneAndMovesBitIdentically) {
+  const kernels::KernelKind saved = kernels::active_kernel();
+  std::uint64_t seed = 900;
+  for (kernels::KernelKind kind :
+       {kernels::KernelKind::kTiled, kernels::KernelKind::kReference,
+        kernels::KernelKind::kFast}) {
+    kernels::set_active_kernel(kind);
+    for (const ZooLayer& zl : zoo_layers()) {
+      SCOPED_TRACE(std::string(zl.name) + " kernel=" +
+                   kernels::kernel_name(kind));
+      Rng init(seed), data(seed + 1);
+      ++seed;
+      std::unique_ptr<Layer> by_ref = zl.make(init);
+      std::unique_ptr<Layer> by_move = by_ref->clone();
+      // Two training steps (the second reuses the first one's caches), then
+      // an eval forward.
+      for (int step = 0; step < 3; ++step) {
+        const bool train = step < 2;
+        const Tensor x = Tensor::randn(zl.in_shape, data);
+        Tensor x_lvalue = x;
+        const Tensor y_ref = by_ref->forward(x_lvalue, train);
+        EXPECT_TRUE(same_bits(x_lvalue, x)) << "forward changed its lvalue";
+        Tensor x_moved = x;
+        const Tensor y_move = by_move->forward(std::move(x_moved), train);
+        EXPECT_TRUE(same_bits(y_move, y_ref)) << "forward, step " << step;
+        if (train) {
+          const Tensor dy = Tensor::randn(y_ref.shape(), data);
+          Tensor dy_lvalue = dy;
+          const Tensor g_ref = by_ref->backward(dy_lvalue);
+          EXPECT_TRUE(same_bits(dy_lvalue, dy)) << "backward changed its lvalue";
+          Tensor dy_moved = dy;
+          const Tensor g_move = by_move->backward(std::move(dy_moved));
+          EXPECT_TRUE(same_bits(g_move, g_ref)) << "backward, step " << step;
+        }
+        const auto want = layer_state(*by_ref);
+        const auto got = layer_state(*by_move);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t t = 0; t < got.size(); ++t) {
+          EXPECT_TRUE(same_bits(*got[t], *want[t]))
+              << "state tensor " << t << ", step " << step;
+        }
+      }
+    }
+  }
+  kernels::set_active_kernel(saved);
 }
 
 }  // namespace

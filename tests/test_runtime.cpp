@@ -609,20 +609,5 @@ TEST(Observer, SerialFallbackIsFlaggedAndTimed) {
   EXPECT_FALSE(r.runtime.serial_fallback);
 }
 
-TEST(Observer, MulticastFansOutToEveryChild) {
-  RecordingObserver a, b;
-  MulticastObserver multi;
-  multi.add(&a);
-  multi.add(nullptr);  // ignored
-  multi.add(&b);
-  EXPECT_FALSE(multi.empty());
-
-  FedAvg algo(fast_cfg());
-  run_observed(algo, multi, 2, 99);
-  ASSERT_FALSE(a.log.empty());
-  ASSERT_EQ(a.log.size(), b.log.size());
-  for (std::size_t i = 0; i < a.log.size(); ++i) EXPECT_EQ(a.log[i], b.log[i]);
-}
-
 }  // namespace
 }  // namespace hetero

@@ -27,7 +27,9 @@
 # suites drive the GEMM/convolution kernels and the layer-glue kernels:
 # the channel-lane BatchNorm/SE/pooling sums read eight strided planes at
 # once with index tails and spare lanes, over exactly-sized buffers and
-# channel counts off the lane block. Sanitizer builds compile the
+# channel counts off the lane block, and the layers' in-place twins and
+# moved caches run every zoo layer on storage it took over from its
+# caller (ValueSemantics.*). Sanitizer builds compile the
 # target_clones dispatch out, so the baseline-ISA body of those same
 # vector kernels is what runs here.
 set -euo pipefail
