@@ -37,6 +37,7 @@
 #include "kernels/kernels.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -230,86 +231,177 @@ void depthwise_backward_plane(const ConvShape& s, const float* HS_RESTRICT go,
 // The depthwise layers of the paper models are tiny (4-16 px planes), so
 // runtime-length inner loops spend more time on bookkeeping than on math.
 // For the handful of (out_w, kernel, stride) combinations those models
-// produce, the templates below compile fully unrolled tap loops with
-// register accumulators over a zero-padded stack copy of the plane.
+// produce, the templates below run every tap over whole output rows held
+// in explicit vectors (GCC vector extensions), over a zero-padded stack
+// copy of the plane. The vectors are written out because the fully
+// unrolled scalar form left GCC's SLP vectorizer shuffling single lanes
+// in the wide clone; explicit vectors compile to plain loads, multiplies
+// and adds in both the baseline and the AVX2 clone. Stride 2 reads (and,
+// backward, accumulates into) the padded plane split into its even and
+// odd columns, so a strided row of taps is one contiguous load there.
 //
-// Padding keeps this bit-identical to the reference chain: every tap is
-// applied at full width, with halo taps contributing the same exact zeros
-// the reference reads out of its patch matrix. Adding (or skipping) signed
-// zeros cannot diverge either, because an accumulator that starts at +0
-// and only ever adds terms can never become -0.
+// Each output lane runs the reference's chain: taps in (ky, kx) order,
+// multiply then add, no contraction (isa.h). Padding keeps this
+// bit-identical to the reference: every tap is applied at full width,
+// with halo taps contributing the same exact zeros the reference reads out
+// of its patch matrix. Adding (or skipping) signed zeros cannot diverge
+// either, because an accumulator that starts at +0 and only ever adds
+// terms can never become -0.
 constexpr std::size_t kDwPadPlane = 18 * 18;  // largest padded plane (16+2)^2
+constexpr std::size_t kDwPadRow = 18;
+constexpr std::size_t kDwHalfRow = kDwPadRow / 2 + 1;  // even/odd columns
 
-template <std::size_t OW, std::size_t K, std::size_t ST>
-inline void dw_fwd_body(const ConvShape& s, const float* HS_RESTRICT chan,
-                        const float* HS_RESTRICT wrow, const float* bias,
-                        float* HS_RESTRICT dst) {
-  const std::size_t p = s.pad, ih = s.in_h, iw = s.in_w, oh = s.out_h();
-  const std::size_t pw = iw + 2 * p, ph = ih + 2 * p;
-  float xpad[kDwPadPlane];
-  std::fill(xpad, xpad + ph * pw, 0.0f);
-  for (std::size_t r = 0; r < ih; ++r) {
-    std::copy(chan + r * iw, chan + (r + 1) * iw, xpad + (r + p) * pw + p);
+typedef float dw_v4 __attribute__((vector_size(16)));
+typedef float dw_v8 __attribute__((vector_size(32)));
+
+/// One output row of OW lanes: NV vectors of W lanes each.
+template <std::size_t OW>
+struct DwRow {
+  static constexpr std::size_t W = OW < 8 ? OW : 8;
+  static constexpr std::size_t NV = OW / W;
+  using V = std::conditional_t<W == 8, dw_v8, dw_v4>;
+  static_assert(W * NV == OW && (W == 4 || W == 8), "row width");
+  V v[NV];
+
+  HS_ALWAYS_INLINE void load(const float* p) {
+    for (std::size_t j = 0; j < NV; ++j) {
+      __builtin_memcpy(&v[j], p + j * W, sizeof(V));
+    }
   }
-  for (std::size_t oy = 0; oy < oh; ++oy) {
-    const float* HS_RESTRICT base = xpad + oy * ST * pw;
-    float acc[OW] = {};
-    for (std::size_t ky = 0; ky < K; ++ky) {
-      const float* HS_RESTRICT r0 = base + ky * pw;
-      for (std::size_t kx = 0; kx < K; ++kx) {
-        const float wv = wrow[ky * K + kx];
-        for (std::size_t l = 0; l < OW; ++l) acc[l] += wv * r0[l * ST + kx];
+  HS_ALWAYS_INLINE void store(float* p) const {
+    for (std::size_t j = 0; j < NV; ++j) {
+      __builtin_memcpy(p + j * W, &v[j], sizeof(V));
+    }
+  }
+};
+
+/// A zero-padded plane as the fixed kernels address it. Stride 1 keeps
+/// `full` rows of `pw` floats; stride 2 keeps the padded plane's even and
+/// odd columns apart, half[par][r][j] = padded[r][2 j + par] (zero past
+/// the row), so each tap's strided row is contiguous. dw_fixed admits
+/// stride 2 only up to out_w 8, so a padded row holds at most 18 floats
+/// and each half row at most 9. Rows of one output row's width move as
+/// vectors rather than through std::copy, which would call memmove per row.
+template <std::size_t OW, std::size_t ST>
+struct DwPlane {
+  float full[ST == 2 ? 1 : kDwPadPlane];
+  float half[ST == 2 ? 2 : 1][ST == 2 ? kDwPadRow * kDwHalfRow : 1];
+
+  HS_ALWAYS_INLINE void fill(const float* HS_RESTRICT chan, std::size_t ih,
+                             std::size_t iw, std::size_t p, std::size_t ph,
+                             std::size_t pw) {
+    zero(ph, pw);
+    for (std::size_t r = 0; r < ih; ++r) {
+      const float* HS_RESTRICT src = chan + r * iw;
+      if constexpr (ST == 2) {
+        for (std::size_t c = 0; c < iw; ++c) *tap(r + p, c + p, pw) = src[c];
+      } else if (iw == OW) {  // "same" padding: one output row's width
+        DwRow<OW> row;
+        row.load(src);
+        row.store(full + (r + p) * pw + p);
+      } else {
+        std::copy(src, src + iw, full + (r + p) * pw + p);
       }
     }
-    float* HS_RESTRICT orow = dst + oy * OW;
+  }
+
+  /// Zeroes the layout the taps address (as fill() leaves it).
+  HS_ALWAYS_INLINE void zero(std::size_t ph, std::size_t pw) {
+    if constexpr (ST == 2) {
+      for (float* h : half) std::fill(h, h + ph * kDwHalfRow, 0.0f);
+    } else {
+      std::fill(full, full + ph * pw, 0.0f);
+    }
+  }
+
+  /// Tap (row r, column kx) of output lane 0; lane l sits l floats on.
+  HS_ALWAYS_INLINE float* tap(std::size_t r, std::size_t kx, std::size_t pw) {
+    if constexpr (ST == 2) return half[kx % 2] + r * kDwHalfRow + kx / 2;
+    return full + r * pw + kx;
+  }
+};
+
+template <std::size_t OW, std::size_t K, std::size_t ST>
+HS_ALWAYS_INLINE void dw_fwd_body(const ConvShape& s,
+                                  const float* HS_RESTRICT chan,
+                                  const float* HS_RESTRICT wrow,
+                                  const float* bias, float* HS_RESTRICT dst) {
+  const std::size_t p = s.pad, ih = s.in_h, iw = s.in_w;
+  const std::size_t pw = iw + 2 * p, ph = ih + 2 * p;
+  DwPlane<OW, ST> x;
+  x.fill(chan, ih, iw, p, ph, pw);
+  for (std::size_t oy = 0; oy < OW; ++oy) {
+    DwRow<OW> acc = {};
+    for (std::size_t ky = 0; ky < K; ++ky) {
+      for (std::size_t kx = 0; kx < K; ++kx) {
+        const float wv = wrow[ky * K + kx];
+        DwRow<OW> in;
+        in.load(x.tap(oy * ST + ky, kx, pw));
+        for (std::size_t j = 0; j < DwRow<OW>::NV; ++j) {
+          acc.v[j] += wv * in.v[j];
+        }
+      }
+    }
     if (bias) {
       const float bv = *bias;
-      for (std::size_t l = 0; l < OW; ++l) orow[l] = acc[l] + bv;
-    } else {
-      for (std::size_t l = 0; l < OW; ++l) orow[l] = acc[l];
+      for (std::size_t j = 0; j < DwRow<OW>::NV; ++j) acc.v[j] += bv;
     }
+    acc.store(dst + oy * OW);
   }
 }
 
 template <std::size_t OW, std::size_t K, std::size_t ST>
-inline void dw_bwd_body(const ConvShape& s, const float* HS_RESTRICT go,
-                        const float* HS_RESTRICT chan,
-                        const float* HS_RESTRICT wrow,
-                        float* HS_RESTRICT gwrow, float* HS_RESTRICT gin) {
-  const std::size_t p = s.pad, ih = s.in_h, iw = s.in_w, oh = s.out_h();
+HS_ALWAYS_INLINE void dw_bwd_body(const ConvShape& s,
+                                  const float* HS_RESTRICT go,
+                                  const float* HS_RESTRICT chan,
+                                  const float* HS_RESTRICT wrow,
+                                  float* HS_RESTRICT gwrow,
+                                  float* HS_RESTRICT gin) {
+  const std::size_t p = s.pad, ih = s.in_h, iw = s.in_w;
   const std::size_t pw = iw + 2 * p, ph = ih + 2 * p;
-  float xpad[kDwPadPlane], gpad[kDwPadPlane];
-  std::fill(xpad, xpad + ph * pw, 0.0f);
-  std::fill(gpad, gpad + ph * pw, 0.0f);
-  for (std::size_t r = 0; r < ih; ++r) {
-    std::copy(chan + r * iw, chan + (r + 1) * iw, xpad + (r + p) * pw + p);
-  }
+  DwPlane<OW, ST> x;
+  x.fill(chan, ih, iw, p, ph, pw);
+  // dX accumulates into a zero-padded plane laid out like x's taps (split
+  // into even/odd columns at stride 2).
+  DwPlane<OW, ST> g;
+  g.zero(ph, pw);
   // Tap-major, like col2im, so the dX chains match the reference exactly;
   // dW reduces per-tap lane accumulators (the weight-gradient drift).
   for (std::size_t ky = 0; ky < K; ++ky) {
     for (std::size_t kx = 0; kx < K; ++kx) {
       const float wv = wrow[ky * K + kx];
-      float lanes[OW] = {};
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        const float* HS_RESTRICT grow = go + oy * OW;
-        const float* HS_RESTRICT xr = xpad + (oy * ST + ky) * pw + kx;
-        float* HS_RESTRICT gr = gpad + (oy * ST + ky) * pw + kx;
-        for (std::size_t l = 0; l < OW; ++l) {
-          lanes[l] += grow[l] * xr[l * ST];
-          gr[l * ST] += wv * grow[l];
+      DwRow<OW> lanes = {};
+      for (std::size_t oy = 0; oy < OW; ++oy) {
+        const std::size_t r = oy * ST + ky;
+        DwRow<OW> grad, in, acc;
+        grad.load(go + oy * OW);
+        in.load(x.tap(r, kx, pw));
+        float* gr = g.tap(r, kx, pw);
+        acc.load(gr);
+        for (std::size_t j = 0; j < DwRow<OW>::NV; ++j) {
+          lanes.v[j] += grad.v[j] * in.v[j];
+          acc.v[j] += wv * grad.v[j];
         }
+        acc.store(gr);
       }
+      float sum[OW];
+      lanes.store(sum);
       float tap = 0.0f;
-      for (std::size_t l = 0; l < OW; ++l) tap += lanes[l];
+      for (std::size_t l = 0; l < OW; ++l) tap += sum[l];
       gwrow[ky * K + kx] += tap;
     }
   }
   // Drop the halo; the interior chains equal col2im's adds onto the
   // zero-initialized grad_in, so a straight copy preserves every bit.
   for (std::size_t r = 0; r < ih; ++r) {
-    const float* HS_RESTRICT src = gpad + (r + p) * pw + p;
     float* HS_RESTRICT drow = gin + r * iw;
-    for (std::size_t c = 0; c < iw; ++c) drow[c] = src[c];
+    if (ST == 1 && iw == OW) {
+      DwRow<OW> row;
+      row.load(g.tap(r + p, p, pw));
+      row.store(drow);
+    } else {
+      for (std::size_t c = 0; c < iw; ++c) drow[c] = *g.tap(r + p, c + p, pw);
+    }
   }
 }
 

@@ -159,101 +159,6 @@ void channel_sums(const float* a, const float* b, std::size_t n,
 }
 
 HS_TILED_CLONES
-void bn_normalize(const float* HS_RESTRICT x, float* HS_RESTRICT y,
-                  float* HS_RESTRICT xhat, std::size_t n, std::size_t c,
-                  std::size_t hw, const float* mean, const float* inv,
-                  const float* gamma, const float* beta) {
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const std::size_t off = (s * c + ch) * hw;
-      const float m = mean[ch], iv = inv[ch], g = gamma[ch], b = beta[ch];
-      const float* HS_RESTRICT src = x + off;
-      float* HS_RESTRICT dst = y + off;
-      if (xhat != nullptr) {
-        float* HS_RESTRICT xh_out = xhat + off;
-        for (std::size_t i = 0; i < hw; ++i) {
-          const float xh = (src[i] - m) * iv;
-          xh_out[i] = xh;
-          dst[i] = g * xh + b;
-        }
-      } else {
-        for (std::size_t i = 0; i < hw; ++i) {
-          dst[i] = g * ((src[i] - m) * iv) + b;
-        }
-      }
-    }
-  }
-}
-
-HS_TILED_CLONES
-void bn_input_grad(const float* HS_RESTRICT dy, const float* HS_RESTRICT xhat,
-                   float* HS_RESTRICT dx, std::size_t n, std::size_t c,
-                   std::size_t hw, const float* g_inv, const float* k1,
-                   const float* k2) {
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const std::size_t off = (s * c + ch) * hw;
-      const float gi = g_inv[ch], a = k1[ch], b = k2[ch];
-      for (std::size_t i = 0; i < hw; ++i) {
-        dx[off + i] = gi * (dy[off + i] - a - xhat[off + i] * b);
-      }
-    }
-  }
-}
-
-HS_TILED_CLONES
-void scale_planes(const float* HS_RESTRICT x, const float* s,
-                  float* HS_RESTRICT y, std::size_t planes, std::size_t hw) {
-  for (std::size_t p = 0; p < planes; ++p) {
-    const float g = s[p];
-    for (std::size_t i = 0; i < hw; ++i) y[p * hw + i] = x[p * hw + i] * g;
-  }
-}
-
-HS_TILED_CLONES
-void se_input_grad(const float* HS_RESTRICT dy, const float* gate,
-                   const float* pooled, float* HS_RESTRICT dx,
-                   std::size_t planes, std::size_t hw) {
-  for (std::size_t p = 0; p < planes; ++p) {
-    const float g = gate[p], add = pooled[p];
-    for (std::size_t i = 0; i < hw; ++i) {
-      dx[p * hw + i] = dy[p * hw + i] * g + add;
-    }
-  }
-}
-
-HS_TILED_CLONES
-void hsigmoid_forward(const float* HS_RESTRICT x, float* HS_RESTRICT y,
-                      std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) y[i] = hsig(x[i]);
-}
-
-HS_TILED_CLONES
-void hsigmoid_backward(const float* HS_RESTRICT x,
-                       const float* HS_RESTRICT dy, float* HS_RESTRICT dx,
-                       std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) dx[i] = dy[i] * dhsig(x[i]);
-}
-
-HS_TILED_CLONES
-void hswish_forward(const float* HS_RESTRICT x, float* HS_RESTRICT y,
-                    std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) y[i] = x[i] * hsig(x[i]);
-}
-
-HS_TILED_CLONES
-void hswish_backward(const float* HS_RESTRICT x, const float* HS_RESTRICT dy,
-                     float* HS_RESTRICT dx, std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const float v = x[i];
-    dx[i] = dy[i] * (hsig(v) + v * dhsig(v));
-  }
-}
-
-// ------------------------------------------------------ in-place twins --
-// Same loops and expressions as the kernels above, on one pointer.
-
-HS_TILED_CLONES
 void bn_normalize_inplace(float* x, float* HS_RESTRICT xhat, std::size_t n,
                           std::size_t c, std::size_t hw, const float* mean,
                           const float* inv, const float* gamma,
@@ -294,6 +199,58 @@ void bn_input_grad_inplace(float* HS_RESTRICT dy,
 }
 
 HS_TILED_CLONES
+void scale_planes(const float* HS_RESTRICT x, const float* s,
+                  float* HS_RESTRICT y, std::size_t planes, std::size_t hw) {
+  for (std::size_t p = 0; p < planes; ++p) {
+    const float g = s[p];
+    for (std::size_t i = 0; i < hw; ++i) y[p * hw + i] = x[p * hw + i] * g;
+  }
+}
+
+HS_TILED_CLONES
+void se_input_grad(const float* HS_RESTRICT dy, const float* gate,
+                   const float* pooled, float* HS_RESTRICT dx,
+                   std::size_t planes, std::size_t hw) {
+  for (std::size_t p = 0; p < planes; ++p) {
+    const float g = gate[p], add = pooled[p];
+    for (std::size_t i = 0; i < hw; ++i) {
+      dx[p * hw + i] = dy[p * hw + i] * g + add;
+    }
+  }
+}
+
+HS_TILED_CLONES
+void hsigmoid_forward(const float* HS_RESTRICT x, float* HS_RESTRICT y,
+                      std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) y[i] = hsig(x[i]);
+}
+
+HS_TILED_CLONES
+void hsigmoid_backward_inplace(const float* HS_RESTRICT x,
+                               float* HS_RESTRICT dy, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) dy[i] = dy[i] * dhsig(x[i]);
+}
+
+HS_TILED_CLONES
+void hswish_forward(const float* HS_RESTRICT x, float* HS_RESTRICT y,
+                    std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) y[i] = x[i] * hsig(x[i]);
+}
+
+HS_TILED_CLONES
+void hswish_backward_inplace(const float* HS_RESTRICT x,
+                             float* HS_RESTRICT dy, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const float v = x[i];
+    dy[i] = dy[i] * (hsig(v) + v * dhsig(v));
+  }
+}
+
+// ------------------------------------------------------ in-place twins --
+// The eval-forward forms of the maps above: the same loops and expressions,
+// on one pointer.
+
+HS_TILED_CLONES
 void scale_planes_inplace(float* HS_RESTRICT x, const float* s,
                           std::size_t planes, std::size_t hw) {
   for (std::size_t p = 0; p < planes; ++p) {
@@ -308,23 +265,8 @@ void hsigmoid_forward_inplace(float* x, std::size_t count) {
 }
 
 HS_TILED_CLONES
-void hsigmoid_backward_inplace(const float* HS_RESTRICT x,
-                               float* HS_RESTRICT dy, std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) dy[i] = dy[i] * dhsig(x[i]);
-}
-
-HS_TILED_CLONES
 void hswish_forward_inplace(float* x, std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) x[i] = x[i] * hsig(x[i]);
-}
-
-HS_TILED_CLONES
-void hswish_backward_inplace(const float* HS_RESTRICT x,
-                             float* HS_RESTRICT dy, std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const float v = x[i];
-    dy[i] = dy[i] * (hsig(v) + v * dhsig(v));
-  }
 }
 
 }  // namespace hetero::kernels

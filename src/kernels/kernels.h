@@ -205,16 +205,18 @@ void channel_sums(const float* a, const float* b, std::size_t n,
                   std::size_t c, std::size_t hw, double* sum_a,
                   double* sum_ab);
 
-/// BatchNorm affine map: xh = (x - mean[ch]) * inv[ch] and
-/// y = gamma[ch] * xh + beta[ch]; xh is stored into xhat unless it is null.
-void bn_normalize(const float* x, float* y, float* xhat, std::size_t n,
-                  std::size_t c, std::size_t hw, const float* mean,
-                  const float* inv, const float* gamma, const float* beta);
+/// BatchNorm affine map, in place: xh = (x - mean[ch]) * inv[ch] and
+/// x = gamma[ch] * xh + beta[ch]; xh is stored into xhat (a separate
+/// buffer) unless it is null.
+void bn_normalize_inplace(float* x, float* xhat, std::size_t n, std::size_t c,
+                          std::size_t hw, const float* mean, const float* inv,
+                          const float* gamma, const float* beta);
 
-/// BatchNorm input gradient: dx = g_inv[ch] * (dy - k1[ch] - xhat * k2[ch]).
-void bn_input_grad(const float* dy, const float* xhat, float* dx,
-                   std::size_t n, std::size_t c, std::size_t hw,
-                   const float* g_inv, const float* k1, const float* k2);
+/// BatchNorm input gradient, in place:
+/// dy = g_inv[ch] * (dy - k1[ch] - xhat * k2[ch]).
+void bn_input_grad_inplace(float* dy, const float* xhat, std::size_t n,
+                           std::size_t c, std::size_t hw, const float* g_inv,
+                           const float* k1, const float* k2);
 
 /// SE gate: y[p, i] = x[p, i] * s[p].
 void scale_planes(const float* x, const float* s, float* y,
@@ -226,38 +228,26 @@ void se_input_grad(const float* dy, const float* gate, const float* pooled,
                    float* dx, std::size_t planes, std::size_t hw);
 
 /// Hard-sigmoid h(x) = clamp(x/6 + 1/2, 0, 1), h'(x) = 1/6 on (-3, 3) and 0
-/// elsewhere, and hard-swish x·h(x). The backward passes form
-/// dx = dy * h'(x) and dx = dy * (h(x) + x·h'(x)).
+/// elsewhere, and hard-swish x·h(x). The backward passes overwrite dy with
+/// dx = dy * h'(x) and dx = dy * (h(x) + x·h'(x)); x stays read-only.
 void hsigmoid_forward(const float* x, float* y, std::size_t count);
-void hsigmoid_backward(const float* x, const float* dy, float* dx,
-                       std::size_t count);
 void hswish_forward(const float* x, float* y, std::size_t count);
-void hswish_backward(const float* x, const float* dy, float* dx,
-                     std::size_t count);
+void hsigmoid_backward_inplace(const float* x, float* dy, std::size_t count);
+void hswish_backward_inplace(const float* x, float* dy, std::size_t count);
 
-// In-place twins for layers that own their input (nn/layer.h): the same
-// per-element expressions, with the output overwriting the one buffer that
-// carries both in and out. The kernels above take HS_RESTRICT pointers, so
-// they must never be called with aliased arguments; these are the aliasing
-// forms. Each element is read before it is written and no element reads
-// another, so every twin is bit-identical to its out-of-place kernel.
+// In-place twins of the maps a layer runs both ways: out of place on a
+// training forward, whose input stays cached, and in place on an eval
+// forward, whose input it owns (nn/layer.h). The kernels above take
+// HS_RESTRICT pointers, so they must never be called with aliased
+// arguments; these are the aliasing forms. Each element is read before it
+// is written and no element reads another, so every twin is bit-identical
+// to its out-of-place kernel.
 
-/// bn_normalize with y == x (xhat, when non-null, is a separate buffer).
-void bn_normalize_inplace(float* x, float* xhat, std::size_t n, std::size_t c,
-                          std::size_t hw, const float* mean, const float* inv,
-                          const float* gamma, const float* beta);
-/// bn_input_grad with dx == dy.
-void bn_input_grad_inplace(float* dy, const float* xhat, std::size_t n,
-                           std::size_t c, std::size_t hw, const float* g_inv,
-                           const float* k1, const float* k2);
 /// scale_planes with y == x.
 void scale_planes_inplace(float* x, const float* s, std::size_t planes,
                           std::size_t hw);
-/// The hard-sigmoid/-swish maps with y == x, and their backward passes with
-/// dx == dy (x stays read-only).
+/// hsigmoid_forward / hswish_forward with y == x.
 void hsigmoid_forward_inplace(float* x, std::size_t count);
-void hsigmoid_backward_inplace(const float* x, float* dy, std::size_t count);
 void hswish_forward_inplace(float* x, std::size_t count);
-void hswish_backward_inplace(const float* x, float* dy, std::size_t count);
 
 }  // namespace hetero::kernels

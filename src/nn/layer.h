@@ -25,8 +25,8 @@
 //        (kernels::conv_reads_input), and otherwise unfolds it into the
 //        workspace patch matrices as before. BatchNorm2d caches xhat, ReLU
 //        a sign mask, the pools only shapes or window codes.
-//    The in-place paths run the same per-element expressions as the
-//    out-of-place kernels, so results are bit-identical either way.
+//    The in-place paths run the seed's per-element expressions, so results
+//    are bit-identical either way.
 //  * collect() exposes three tensor groups:
 //      - params: trained by the optimizer, part of the FL model state;
 //      - grads: same shapes as params;

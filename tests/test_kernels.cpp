@@ -292,6 +292,96 @@ TEST(ConvParity, BackwardMatchesAcrossKinds) {
   }
 }
 
+TEST(ConvParity, FixedDepthwisePlanesMatchReferenceAndTapChains) {
+  // Every fixed-shape depthwise plane kernel (out_w, kernel, stride): the
+  // forward and dX against the reference kind bit for bit, and dW against
+  // the tiled tap chain (per-lane sums over output rows in ascending order,
+  // the lanes then summed in order, samples in ascending order).
+  struct DwCase {
+    std::size_t hw, k, stride, pad;
+  };
+  const DwCase cases[] = {{16, 3, 1, 1}, {8, 3, 1, 1}, {4, 3, 1, 1},
+                          {16, 3, 2, 1}, {8, 3, 2, 1}, {8, 5, 2, 2}};
+  Rng rng(204);
+  for (const DwCase& dc : cases) {
+    const ConvCase c{3, 5, 5, dc.k, dc.stride, dc.pad, 5};
+    const ConvShape s = make_shape(c, dc.hw);
+    const std::size_t oh = s.out_h(), ow = s.out_w(), kk = dc.k * dc.k;
+    const std::size_t x_size = s.n * s.in_c * dc.hw * dc.hw;
+    const std::size_t y_size = s.n * s.out_c * oh * ow;
+    std::vector<float> x(x_size), w(s.out_c * kk), bias(s.out_c),
+        grad_out(y_size), gw_base(s.out_c * kk);
+    fill_random(x, rng);
+    fill_random(w, rng);
+    fill_random(bias, rng);
+    fill_random(grad_out, rng);
+    fill_random(gw_base, rng, -0.1f, 0.1f);
+    w[1] = 0.0f;  // a zero-weight tap, which the reference skips
+    const std::string tag = "hw=" + std::to_string(dc.hw) +
+                            " k=" + std::to_string(dc.k) +
+                            " s=" + std::to_string(dc.stride);
+
+    std::vector<float> y_ref(y_size), y_til(y_size);
+    std::vector<float> cols_ref(s.cols_size()), cols_til(s.cols_size());
+    kernels::Workspace ws_ref, ws_til;
+    kernels::conv2d_forward(KernelKind::kReference, s, x.data(), w.data(),
+                            bias.data(), y_ref.data(), cols_ref.data(),
+                            ws_ref);
+    kernels::conv2d_forward(KernelKind::kTiled, s, x.data(), w.data(),
+                            bias.data(), y_til.data(), cols_til.data(),
+                            ws_til);
+    EXPECT_EQ(0, std::memcmp(y_ref.data(), y_til.data(),
+                             y_size * sizeof(float)))
+        << tag << " forward";
+
+    std::vector<float> gw_ref = gw_base, gw_til = gw_base;
+    std::vector<float> gx_ref(x_size), gx_til(x_size);
+    kernels::conv2d_backward(KernelKind::kReference, s, grad_out.data(),
+                             w.data(), cols_ref.data(), gw_ref.data(),
+                             nullptr, gx_ref.data(), ws_ref);
+    kernels::conv2d_backward(KernelKind::kTiled, s, grad_out.data(), w.data(),
+                             x.data(), gw_til.data(), nullptr, gx_til.data(),
+                             ws_til);
+    EXPECT_EQ(0, std::memcmp(gx_ref.data(), gx_til.data(),
+                             x_size * sizeof(float)))
+        << tag << " dX";
+
+    std::vector<float> gw_want = gw_base;
+    for (std::size_t ch = 0; ch < s.out_c; ++ch) {
+      for (std::size_t smp = 0; smp < s.n; ++smp) {
+        const float* plane = x.data() + (smp * s.in_c + ch) * dc.hw * dc.hw;
+        const float* go = grad_out.data() + (smp * s.out_c + ch) * oh * ow;
+        for (std::size_t ky = 0; ky < dc.k; ++ky) {
+          for (std::size_t kx = 0; kx < dc.k; ++kx) {
+            std::vector<float> lanes(ow, 0.0f);
+            for (std::size_t oy = 0; oy < oh; ++oy) {
+              for (std::size_t l = 0; l < ow; ++l) {
+                const std::ptrdiff_t iy =
+                    static_cast<std::ptrdiff_t>(oy * dc.stride + ky) -
+                    static_cast<std::ptrdiff_t>(dc.pad);
+                const std::ptrdiff_t ix =
+                    static_cast<std::ptrdiff_t>(l * dc.stride + kx) -
+                    static_cast<std::ptrdiff_t>(dc.pad);
+                const bool inside = iy >= 0 && ix >= 0 &&
+                                    iy < static_cast<std::ptrdiff_t>(dc.hw) &&
+                                    ix < static_cast<std::ptrdiff_t>(dc.hw);
+                const float xv = inside ? plane[iy * dc.hw + ix] : 0.0f;
+                lanes[l] += go[oy * ow + l] * xv;
+              }
+            }
+            float tap = 0.0f;
+            for (std::size_t l = 0; l < ow; ++l) tap += lanes[l];
+            gw_want[ch * kk + ky * dc.k + kx] += tap;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(0, std::memcmp(gw_want.data(), gw_til.data(),
+                             gw_want.size() * sizeof(float)))
+        << tag << " dW";
+  }
+}
+
 TEST(ConvParity, LayerForwardBackwardMatchesAcrossKinds) {
   // End-to-end through the Conv2d layer (workspace caching, clone path).
   KernelGuard guard;
@@ -566,18 +656,18 @@ TEST(LayerGlue, BnNormalizeStoresSeedOutputAndXhat) {
             }
           }
         }
-        std::vector<float> y(x.size()), xhat(x.size());
-        kernels::bn_normalize(x.data(), y.data(), xhat.data(), n, c, hw,
-                              mean.data(), inv.data(), gamma.data(),
-                              beta.data());
+        std::vector<float> y = x, xhat(x.size());
+        kernels::bn_normalize_inplace(y.data(), xhat.data(), n, c, hw,
+                                      mean.data(), inv.data(), gamma.data(),
+                                      beta.data());
         const std::size_t bytes = x.size() * sizeof(float);
         EXPECT_EQ(0, std::memcmp(y.data(), want_y.data(), bytes)) << tag;
         EXPECT_EQ(0, std::memcmp(xhat.data(), want_xhat.data(), bytes))
             << tag;
-        std::vector<float> y_eval(x.size());
-        kernels::bn_normalize(x.data(), y_eval.data(), nullptr, n, c, hw,
-                              mean.data(), inv.data(), gamma.data(),
-                              beta.data());
+        std::vector<float> y_eval = x;
+        kernels::bn_normalize_inplace(y_eval.data(), nullptr, n, c, hw,
+                                      mean.data(), inv.data(), gamma.data(),
+                                      beta.data());
         EXPECT_EQ(0, std::memcmp(y_eval.data(), want_y.data(), bytes))
             << tag;
       }
@@ -595,72 +685,62 @@ bool same_floats(const std::vector<float>& a, const std::vector<float>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-TEST(LayerGlue, InPlaceTwinsMatchOutOfPlaceKernels) {
+TEST(LayerGlue, InPlaceKernelsMatchSeedLoopsAndTwins) {
   Rng rng(72);
   testing::for_oracle_shapes([&](std::size_t n, std::size_t c, std::size_t h,
                                  std::size_t w, const std::string& tag) {
     const std::size_t hw = h * w, count = n * c * hw;
-    const std::vector<float> x = values_of(testing::edge_case_tensor({count}, rng));
-    const std::vector<float> dy =
-        values_of(testing::edge_case_tensor({count}, rng));
-    std::vector<float> mean(c), inv(c), gamma(c), beta(c), k1(c), k2(c);
-    std::vector<float> scale(n * c);
-    fill_random(mean, rng);
-    fill_random(inv, rng, 0.1f, 3.0f);
-    fill_random(gamma, rng);
-    fill_random(beta, rng);
+    const Tensor tx = testing::edge_case_tensor({count}, rng);
+    const Tensor tdy = testing::edge_case_tensor({count}, rng);
+    const std::vector<float> x = values_of(tx), dy = values_of(tdy);
+    std::vector<float> gi(c), k1(c), k2(c), scale(n * c);
+    fill_random(gi, rng);
     fill_random(k1, rng);
     fill_random(k2, rng);
     fill_random(scale, rng, -2.0f, 2.0f);
 
-    // BatchNorm affine map, with and without the xhat cache.
-    std::vector<float> y(count), xhat(count), xhat_in(count);
-    kernels::bn_normalize(x.data(), y.data(), xhat.data(), n, c, hw,
-                          mean.data(), inv.data(), gamma.data(), beta.data());
-    std::vector<float> v = x;
-    kernels::bn_normalize_inplace(v.data(), xhat_in.data(), n, c, hw,
-                                  mean.data(), inv.data(), gamma.data(),
-                                  beta.data());
-    EXPECT_TRUE(same_floats(v, y)) << tag << " bn_normalize";
-    EXPECT_TRUE(same_floats(xhat_in, xhat)) << tag << " bn_normalize xhat";
-    kernels::bn_normalize(x.data(), y.data(), nullptr, n, c, hw, mean.data(),
-                          inv.data(), gamma.data(), beta.data());
-    v = x;
-    kernels::bn_normalize_inplace(v.data(), nullptr, n, c, hw, mean.data(),
-                                  inv.data(), gamma.data(), beta.data());
-    EXPECT_TRUE(same_floats(v, y)) << tag << " bn_normalize eval";
+    // BatchNorm input gradient against the seed loop (x stands in for the
+    // xhat cache).
+    std::vector<float> want(count);
+    for (std::size_t s = 0; s < n; ++s) {
+      for (std::size_t ch = 0; ch < c; ++ch) {
+        for (std::size_t i = 0; i < hw; ++i) {
+          const std::size_t k = (s * c + ch) * hw + i;
+          want[k] = gi[ch] * (dy[k] - k1[ch] - x[k] * k2[ch]);
+        }
+      }
+    }
+    std::vector<float> v = dy;
+    kernels::bn_input_grad_inplace(v.data(), x.data(), n, c, hw, gi.data(),
+                                   k1.data(), k2.data());
+    EXPECT_TRUE(same_floats(v, want)) << tag << " bn_input_grad_inplace";
 
-    // BatchNorm input gradient (x stands in for the xhat cache).
-    kernels::bn_input_grad(dy.data(), x.data(), y.data(), n, c, hw,
-                           gamma.data(), k1.data(), k2.data());
+    // Hard-sigmoid / hard-swish backward against the seed loops.
     v = dy;
-    kernels::bn_input_grad_inplace(v.data(), x.data(), n, c, hw,
-                                   gamma.data(), k1.data(), k2.data());
-    EXPECT_TRUE(same_floats(v, y)) << tag << " bn_input_grad";
+    kernels::hsigmoid_backward_inplace(x.data(), v.data(), count);
+    EXPECT_TRUE(same_floats(v, values_of(testing::seed_hsigmoid_backward(
+                                   tx, tdy))))
+        << tag << " hsigmoid_backward_inplace";
+    v = dy;
+    kernels::hswish_backward_inplace(x.data(), v.data(), count);
+    EXPECT_TRUE(same_floats(
+        v, values_of(testing::seed_hswish_backward(tx, tdy))))
+        << tag << " hswish_backward_inplace";
 
-    // SE gate.
+    // The eval-forward twins against their out-of-place kernels.
+    std::vector<float> y(count);
     kernels::scale_planes(x.data(), scale.data(), y.data(), n * c, hw);
     v = x;
     kernels::scale_planes_inplace(v.data(), scale.data(), n * c, hw);
     EXPECT_TRUE(same_floats(v, y)) << tag << " scale_planes";
-
-    // Hard-sigmoid / hard-swish, forward and backward.
     kernels::hsigmoid_forward(x.data(), y.data(), count);
     v = x;
     kernels::hsigmoid_forward_inplace(v.data(), count);
     EXPECT_TRUE(same_floats(v, y)) << tag << " hsigmoid_forward";
-    kernels::hsigmoid_backward(x.data(), dy.data(), y.data(), count);
-    v = dy;
-    kernels::hsigmoid_backward_inplace(x.data(), v.data(), count);
-    EXPECT_TRUE(same_floats(v, y)) << tag << " hsigmoid_backward";
     kernels::hswish_forward(x.data(), y.data(), count);
     v = x;
     kernels::hswish_forward_inplace(v.data(), count);
     EXPECT_TRUE(same_floats(v, y)) << tag << " hswish_forward";
-    kernels::hswish_backward(x.data(), dy.data(), y.data(), count);
-    v = dy;
-    kernels::hswish_backward_inplace(x.data(), v.data(), count);
-    EXPECT_TRUE(same_floats(v, y)) << tag << " hswish_backward";
   });
 }
 
